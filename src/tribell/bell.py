@@ -8,6 +8,7 @@ skew-information variants return the signed combination itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -83,6 +84,47 @@ class BellSettings:
         c = self.m_c1 if k == 1 else self.m_c2
         return (a, b, c)
 
+    # Settings-side operands, built on first use and kept on the instance
+    # (cached_property writes the instance __dict__, which a frozen
+    # dataclass allows); reuse one settings object across states.
+    @functools.cached_property
+    def term_unitaries(self) -> tuple[np.ndarray, ...]:
+        """8x8 product-basis unitaries for the four terms.
+
+        The Kronecker product of the three party eigenvector matrices
+        stacks the product kets in the same lexicographic column order that
+        product_basis uses, so each unitary equals the corresponding
+        ProductBasis.unitary() exactly.
+        """
+        vecs = {
+            name: herm_eig(getattr(self, name).matrix).eigenvectors
+            for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")
+        }
+        return _read_only(
+            np.kron(vecs[f"m_a{i}"], np.kron(vecs[f"m_b{j}"], vecs[f"m_c{k}"]))
+            for i, j, k in TERMS
+        )
+
+    @functools.cached_property
+    def mabk_operators(self) -> tuple[np.ndarray, ...]:
+        """The four joint correlator operators A (x) B (x) C."""
+        return _read_only(
+            kron(kron(a.matrix, b.matrix), c.matrix)
+            for a, b, c in map(self.for_term, TERMS)
+        )
+
+    @functools.cached_property
+    def collective_observables(self) -> tuple[np.ndarray, ...]:
+        """The four collective observables A + B + C of the skew terms."""
+        return _read_only(collective_observable(*self.for_term(term)) for term in TERMS)
+
+
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    out = tuple(arrays)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
 
 def example1_settings() -> BellSettings:
     """Axis-aligned settings: A uses x/z, B uses -y/z, C uses x/z."""
@@ -120,34 +162,10 @@ def example2_settings() -> BellSettings:
     )
 
 
-def _term_unitaries(settings: BellSettings):
-    """8x8 product-basis unitaries for the four terms.
-
-    The Kronecker product of the three party eigenvector matrices stacks
-    the product kets in the same lexicographic column order that
-    product_basis uses, so each unitary equals the corresponding
-    ProductBasis.unitary() exactly.
-    """
-    vecs = {
-        name: herm_eig(getattr(settings, name).matrix).eigenvectors
-        for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")
-    }
-    out = []
-    for i, j, k in TERMS:
-        out.append(
-            np.kron(
-                vecs[f"m_a{i}"], np.kron(vecs[f"m_b{j}"], vecs[f"m_c{k}"])
-            )
-        )
-    return out
-
-
 def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
     """Absolute value of the signed combination of product correlators."""
     total = 0.0
-    for sign, term in zip(TERM_SIGNS, TERMS):
-        a, b, c = settings.for_term(term)
-        joint = kron(kron(a.matrix, b.matrix), c.matrix)
+    for sign, joint in zip(TERM_SIGNS, settings.mabk_operators):
         total += sign * float(np.trace(rho.matrix @ joint).real)
     return abs(total)
 
@@ -155,7 +173,7 @@ def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
 def bell_l1(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of l1 coherences in the term product bases."""
     total = 0.0
-    for sign, u in zip(TERM_SIGNS, _term_unitaries(settings)):
+    for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
         rep = u.conj().T @ rho.matrix @ u
         total += sign * (float(np.sum(np.abs(rep))) - 1.0)
     return total
@@ -165,7 +183,7 @@ def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of relative-entropy coherences in the term bases."""
     state_entropy = von_neumann_entropy(rho)
     total = 0.0
-    for sign, u in zip(TERM_SIGNS, _term_unitaries(settings)):
+    for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
         populations = np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u).real
         total += sign * max(0.0, _prob_entropy(populations) - state_entropy)
     return total
@@ -175,8 +193,7 @@ def bell_skew(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of skew informations of collective observables."""
     root = psd_sqrt(rho.matrix)
     total = 0.0
-    for sign, term in zip(TERM_SIGNS, TERMS):
-        joint = collective_observable(*settings.for_term(term))
+    for sign, joint in zip(TERM_SIGNS, settings.collective_observables):
         total += sign * _skew_from_root(root, joint)
     return total
 
@@ -260,10 +277,15 @@ def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
         return pure_density(w_class_pure(params[0], params[1]))
     if family is Family.GHZ_PURE:
         return pure_density(ghz_class_pure(params[0]))
-    base = w_class_pure(math.asin(1.0 / math.sqrt(3.0)), math.pi / 4.0)
+    return werner_mix(_werner_base(family), params[0])
+
+
+@functools.cache
+def _werner_base(family: Family) -> DensityMatrix:
+    """The fixed pure state a Werner family mixes with white noise."""
     if family is Family.GHZ_WERNER:
-        base = ghz_class_pure(math.pi / 4.0)
-    return werner_mix(pure_density(base), params[0])
+        return pure_density(ghz_class_pure(math.pi / 4.0))
+    return pure_density(w_class_pure(math.asin(1.0 / math.sqrt(3.0)), math.pi / 4.0))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,8 @@ def parse_settings(spec: str):
         return example2_settings(), spec
     if head == "angles":
         values = _floats(arg, 12, "angles settings spec")
+        if not all(math.isfinite(v) for v in values):
+            raise CliInputError(f"angles settings spec has a non-finite entry: {arg!r}")
         return settings_from_angles(values), spec
     raise CliInputError(f"unknown settings spec {spec!r}; expected example1, example2 or angles:12 numbers")
 
@@ -313,6 +315,8 @@ def cmd_optimize(args) -> int:
     kind = FunctionalKind(args.kind)
     if args.restarts < 1 or args.iterations < 1:
         raise CliInputError("restarts and iterations must be positive")
+    if args.seed < 0:
+        raise CliInputError(f"seed must be non-negative, got {args.seed}")
     settings, value = optimize_settings(
         rho, kind, restarts=args.restarts, iterations=args.iterations, seed=args.seed
     )

@@ -43,6 +43,7 @@ from tribell import (
     threshold_bisect,
     w_state,
 )
+import tribell.bell as bell_module
 from tribell.bell import TERMS, TERM_SIGNS
 
 SQRT2 = math.sqrt(2.0)
@@ -166,6 +167,39 @@ def test_family_state_special_points(rho_w, rho_ghz, ex1):
     assert abs(at_symmetric - bell_l1(rho_w, ex1)) < 1e-12
     ghz_curve = FamilyCurve(Family.GHZ_PURE, FunctionalKind.L1, ex1)
     assert abs(evaluate_family(ghz_curve, math.pi / 4.0) - bell_l1(rho_ghz, ex1)) < 1e-12
+
+
+def test_settings_operands_are_built_once_per_settings_object(monkeypatch):
+    """A scan under one settings object builds its settings side once, not per point."""
+    calls = {"herm_eig": 0, "collective_observable": 0}
+
+    def counted(name):
+        original = getattr(bell_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bell_module, name, wrapper)
+
+    counted("herm_eig")
+    counted("collective_observable")
+    settings = example1_settings()
+    points = np.linspace(0.0, 1.0, 50)
+    for kind in (FunctionalKind.L1, FunctionalKind.REL_ENT):
+        for p in points:
+            evaluate_family(FamilyCurve(Family.W_WERNER, kind, settings), p)
+    assert calls["herm_eig"] == 6
+    for p in points:
+        evaluate_family(FamilyCurve(Family.W_WERNER, FunctionalKind.SKEW, settings), p)
+    assert calls["collective_observable"] == 4
+
+    mabk(pure_density(w_state()), settings)
+    for operands in (settings.term_unitaries, settings.mabk_operators, settings.collective_observables):
+        assert len(operands) == 4
+        for arr in operands:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
 
 def test_family_domain_enforcement(ex1):

@@ -92,6 +92,24 @@ def test_out_of_range_state_param_exits_3(capsys):
     assert "outside" in err
 
 
+def test_non_finite_inputs_exit_with_their_documented_codes(capsys):
+    nan_angles = ",".join(["nan"] + ["0.5"] * 11)
+    inf_angles = ",".join(["0.5"] * 11 + ["inf"])
+    for spec in (f"angles:{nan_angles}", f"angles:{inf_angles}"):
+        code, _, err = run_cli(capsys, "eval", "--state", "ghz", "--settings", spec, "--kind", "l1")
+        assert code == 2
+        assert "non-finite" in err
+    code, _, err = run_cli(capsys, "eval", "--state", "w-werner:nan", "--settings", "example1", "--kind", "l1")
+    assert code == 3
+    assert "outside" in err
+
+
+def test_optimize_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "optimize", "--state", "ghz", "--kind", "l1", "--seed", "-1")
+    assert code == 2
+    assert "seed" in err
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
