@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import herm_eig, kron, psd_sqrt
+from .linalg import _kron, herm_eig
 from .measures import _prob_entropy, _skew_from_root, von_neumann_entropy
 from .states import (
     DensityMatrix,
@@ -101,7 +101,7 @@ class BellSettings:
             for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")
         }
         return _read_only(
-            np.kron(vecs[f"m_a{i}"], np.kron(vecs[f"m_b{j}"], vecs[f"m_c{k}"]))
+            _kron(vecs[f"m_a{i}"], _kron(vecs[f"m_b{j}"], vecs[f"m_c{k}"]))
             for i, j, k in TERMS
         )
 
@@ -109,7 +109,7 @@ class BellSettings:
     def mabk_operators(self) -> tuple[np.ndarray, ...]:
         """The four joint correlator operators A (x) B (x) C."""
         return _read_only(
-            kron(kron(a.matrix, b.matrix), c.matrix)
+            _kron(_kron(a.matrix, b.matrix), c.matrix)
             for a, b, c in map(self.for_term, TERMS)
         )
 
@@ -191,7 +191,7 @@ def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
 
 def bell_skew(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of skew informations of collective observables."""
-    root = psd_sqrt(rho.matrix)
+    root = rho.root
     total = 0.0
     for sign, joint in zip(TERM_SIGNS, settings.collective_observables):
         total += sign * _skew_from_root(root, joint)

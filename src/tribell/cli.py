@@ -71,11 +71,11 @@ def load_state_file(path: str) -> DensityMatrix:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StateInputError(f"cannot read state file {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StateInputError(f"state file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise StateInputError(f"state file {path!r} must be an object with 'dim' and 'entries'")

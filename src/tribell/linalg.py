@@ -52,7 +52,12 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    return _kron(as_complex_matrix(a), as_complex_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked np.kron of two matrices: the same one product per entry, so the same bits."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def adjoint(a) -> np.ndarray:
@@ -89,15 +94,10 @@ class HermEigen:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus component is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0.0:
-            out[:, k] = col * (np.conj(pivot) / np.abs(pivot))
-    return out
+    """Rotate each unit column so its largest-modulus component (first on ties) is real positive."""
+    moduli = np.abs(vectors)
+    idx, cols = np.argmax(moduli, axis=0), np.arange(vectors.shape[1])
+    return vectors * (np.conj(vectors[idx, cols]) / moduli[idx, cols])
 
 
 def herm_eig(a, tol: float = HERMITICITY_TOL) -> HermEigen:

@@ -6,6 +6,8 @@ party A owning the most significant bit.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +16,12 @@ from .linalg import (
     DimensionMismatchError,
     HERMITICITY_TOL,
     NotHermitianError,
+    _kron,
     as_complex_matrix,
     herm_eig,
     hermiticity_defect,
     kron,
+    psd_sqrt,
 )
 
 NORM_TOL = 1e-10
@@ -91,6 +95,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """Read-only psd_sqrt of the matrix, computed once per state."""
+        root = psd_sqrt(self.matrix)
+        root.setflags(write=False)
+        return root
+
 
 @dataclass(frozen=True)
 class Observable:
@@ -111,6 +122,14 @@ class Observable:
             if unit_defect > DICHOTOMIC_TOL:
                 raise ValueError(f"observable squared deviates from identity by {unit_defect:.3e}")
         _frozen_array(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "Observable":
+        """Unchecked observable, for n . sigma with a unit n that the package built."""
+        obs = object.__new__(cls)
+        _frozen_array(obs, "matrix", m)
+        object.__setattr__(obs, "dichotomic", True)
+        return obs
 
 
 @dataclass(frozen=True)
@@ -155,9 +174,11 @@ def pauli(axis: str) -> np.ndarray:
 
 
 def bloch_observable(theta: float, phi: float) -> Observable:
-    """Dichotomic observable n . sigma for the Bloch direction (theta, phi)."""
+    """Dichotomic observable n . sigma for the Bloch direction (theta, phi); angles must be finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"Bloch angles must be finite, got ({theta!r}, {phi!r})")
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    return Observable(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    return Observable._trusted(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
 def w_class_pure(theta: float, phi: float) -> Ket:
@@ -247,11 +268,10 @@ def product_basis(ma: Observable, mb: Observable, mc: Observable) -> ProductBasi
 
 def collective_observable(x: Observable, y: Observable, z: Observable) -> np.ndarray:
     """Sum of one local observable per party, X (x) I (x) I + I (x) Y (x) I + I (x) I (x) Z."""
-    eye = np.eye(2, dtype=complex)
     return (
-        kron(kron(x.matrix, eye), eye)
-        + kron(kron(eye, y.matrix), eye)
-        + kron(kron(eye, eye), z.matrix)
+        _kron(_kron(x.matrix, IDENTITY_2), IDENTITY_2)
+        + _kron(_kron(IDENTITY_2, y.matrix), IDENTITY_2)
+        + _kron(_kron(IDENTITY_2, IDENTITY_2), z.matrix)
     )
 
 

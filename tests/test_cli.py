@@ -144,6 +144,21 @@ def test_state_file_errors_exit_3(tmp_path, capsys):
     assert run_cli(capsys, "eval", "--state", f"file:{single_qubit}", "--settings", "example1", "--kind", "l1")[0] == 3
 
 
+def test_malformed_state_files_exit_3_without_traceback(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b"\xff" + json.dumps({"dim": 2, "entries": []}).encode())
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 200000)
+    non_finite = tmp_path / "nan.json"
+    _write_state_file(non_finite, np.diag([math.nan, 0.5, 0.5, 0, 0, 0, 0, 0]))
+    non_psd = tmp_path / "negative.json"
+    _write_state_file(non_psd, np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
+    for path in (not_utf8, too_deep, non_finite, non_psd):
+        code, out, err = run_cli(capsys, "eval", "--state", f"file:{path}", "--settings", "example1", "--kind", "l1")
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+
+
 def test_scan_csv_values_and_determinism(tmp_path, capsys):
     args = ["scan", "--state", "ghz-werner", "--kind", "l1", "--settings", "example1", "--grid", "0:1:11"]
     first = tmp_path / "a.csv"

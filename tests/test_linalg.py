@@ -18,6 +18,7 @@ from tribell import (
     pauli,
     psd_sqrt,
 )
+from tribell.linalg import _fix_phases, _kron
 
 
 def test_kron_known_product():
@@ -155,3 +156,42 @@ def test_herm_eig_spectrum_matches_numpy(seed):
     a = random_hermitian(np.random.default_rng(seed), 4)
     eig = herm_eig(a)
     np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(a), atol=1e-10)
+
+
+def test_unchecked_kron_matches_numpy_bits():
+    rng = np.random.default_rng(18)
+    for dim_a, dim_b in ((2, 2), (4, 4), (2, 4), (4, 2)):
+        for _ in range(50):
+            a = rng.normal(size=(dim_a, dim_a)) + 1j * rng.normal(size=(dim_a, dim_a))
+            b = rng.normal(size=(dim_b, dim_b)) + 1j * rng.normal(size=(dim_b, dim_b))
+            assert np.array_equal(_kron(a, b), np.kron(a, b))
+            assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def _fix_phases_loop(vectors):
+    """Column-by-column reference for the vectorised _fix_phases."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        pivot = col[idx]
+        if np.abs(pivot) > 0.0:
+            out[:, k] = col * (np.conj(pivot) / np.abs(pivot))
+    return out
+
+
+def test_fix_phases_matches_loop_reference():
+    rng = np.random.default_rng(18)
+    for dim in (2, 8):
+        for _ in range(100):
+            _, vectors = np.linalg.eigh(random_hermitian(rng, dim))
+            assert _fix_phases(vectors).tobytes() == _fix_phases_loop(vectors).tobytes()
+        # v and 1j * v have bit-equal moduli: a tie, which the first index wins
+        _, vectors = np.linalg.eigh(random_hermitian(rng, dim))
+        v = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) / math.sqrt(2.0)
+        vectors[:, 0] = 0.0
+        vectors[0, 0], vectors[1, 0] = v, 1j * v
+        assert np.abs(vectors[0, 0]) == np.abs(vectors[1, 0])
+        fixed = _fix_phases(vectors)
+        assert fixed.tobytes() == _fix_phases_loop(vectors).tobytes()
+        np.testing.assert_allclose(fixed[:2, 0], np.array([1.0, 1j]) / math.sqrt(2.0), atol=1e-15)

@@ -24,6 +24,7 @@ from tribell import (
     pauli,
     product_basis,
     product_state,
+    psd_sqrt,
     pure_density,
     random_single_qubit_state,
     w_class_pure,
@@ -225,3 +226,27 @@ def test_werner_mix_preserves_validity(p, seed):
     mixed = werner_mix(rho, p)
     assert abs(np.trace(mixed.matrix) - 1.0) < 1e-10
     assert np.linalg.eigvalsh(mixed.matrix).min() >= -1e-12
+
+
+def test_bloch_observable_rejects_non_finite_angles():
+    for theta, phi in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            bloch_observable(theta, phi)
+
+
+def test_bloch_observable_matches_checked_constructor():
+    rng = np.random.default_rng(18)
+    for theta, phi in rng.uniform(-10.0, 10.0, size=(200, 2)):
+        n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+        checked = Observable(n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z"))
+        trusted = bloch_observable(theta, phi)
+        assert np.array_equal(trusted.matrix, checked.matrix)
+        assert trusted.dichotomic and not trusted.matrix.flags.writeable
+
+
+def test_density_root_is_cached_and_read_only():
+    rho = werner_mix(pure_density(w_state()), 0.3)
+    assert rho.root is rho.root
+    assert np.array_equal(rho.root, psd_sqrt(rho.matrix))
+    with pytest.raises(ValueError):
+        rho.root[0, 0] = 0.0
