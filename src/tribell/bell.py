@@ -101,22 +101,27 @@ class BellSettings:
             for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")
         }
         return _read_only(
-            _kron(vecs[f"m_a{i}"], _kron(vecs[f"m_b{j}"], vecs[f"m_c{k}"]))
+            _term_unitary(vecs[f"m_a{i}"], vecs[f"m_b{j}"], vecs[f"m_c{k}"])
             for i, j, k in TERMS
         )
 
     @functools.cached_property
     def mabk_operators(self) -> tuple[np.ndarray, ...]:
         """The four joint correlator operators A (x) B (x) C."""
-        return _read_only(
-            _kron(_kron(a.matrix, b.matrix), c.matrix)
-            for a, b, c in map(self.for_term, TERMS)
-        )
+        return _read_only(_mabk_operator(*self.for_term(term)) for term in TERMS)
 
     @functools.cached_property
     def collective_observables(self) -> tuple[np.ndarray, ...]:
         """The four collective observables A + B + C of the skew terms."""
         return _read_only(collective_observable(*self.for_term(term)) for term in TERMS)
+
+
+def _term_unitary(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    return _kron(va, _kron(vb, vc))
+
+
+def _mabk_operator(a: Observable, b: Observable, c: Observable) -> np.ndarray:
+    return _kron(_kron(a.matrix, b.matrix), c.matrix)
 
 
 def _read_only(arrays) -> tuple[np.ndarray, ...]:
@@ -162,11 +167,25 @@ def example2_settings() -> BellSettings:
     )
 
 
+def _mabk_term(rho: DensityMatrix, joint: np.ndarray) -> float:
+    return float(np.trace(rho.matrix @ joint).real)
+
+
+def _l1_term(rho: DensityMatrix, u: np.ndarray) -> float:
+    rep = u.conj().T @ rho.matrix @ u
+    return float(np.sum(np.abs(rep))) - 1.0
+
+
+def _rel_ent_term(rho: DensityMatrix, u: np.ndarray, entropy: float) -> float:
+    populations = np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u).real
+    return max(0.0, _prob_entropy(populations) - entropy)
+
+
 def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
     """Absolute value of the signed combination of product correlators."""
     total = 0.0
     for sign, joint in zip(TERM_SIGNS, settings.mabk_operators):
-        total += sign * float(np.trace(rho.matrix @ joint).real)
+        total += sign * _mabk_term(rho, joint)
     return abs(total)
 
 
@@ -174,8 +193,7 @@ def bell_l1(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of l1 coherences in the term product bases."""
     total = 0.0
     for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
-        rep = u.conj().T @ rho.matrix @ u
-        total += sign * (float(np.sum(np.abs(rep))) - 1.0)
+        total += sign * _l1_term(rho, u)
     return total
 
 
@@ -184,8 +202,7 @@ def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
     state_entropy = von_neumann_entropy(rho)
     total = 0.0
     for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
-        populations = np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u).real
-        total += sign * max(0.0, _prob_entropy(populations) - state_entropy)
+        total += sign * _rel_ent_term(rho, u, state_entropy)
     return total
 
 
@@ -428,9 +445,32 @@ def optimize_settings(
     """
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
+    # A probe moves one angle, changing one observable and the two terms
+    # that use it.  Keys are exact angles (the search never makes -0.0), so
+    # a hit is bit-identical to a fresh evaluation; bounded for ~10^4 probes.
+    entropy = von_neumann_entropy(rho) if kind is FunctionalKind.REL_ENT else 0.0
+    term_value = {
+        FunctionalKind.MABK: lambda obs, vecs: _mabk_term(rho, _mabk_operator(*obs)),
+        FunctionalKind.L1: lambda obs, vecs: _l1_term(rho, _term_unitary(*vecs)),
+        FunctionalKind.REL_ENT: lambda obs, vecs: _rel_ent_term(rho, _term_unitary(*vecs), entropy),
+        FunctionalKind.SKEW: lambda obs, vecs: _skew_from_root(rho.root, collective_observable(*obs)),
+    }[kind]
+
+    @functools.lru_cache(maxsize=64)
+    def party(theta: float, phi: float) -> tuple[Observable, np.ndarray]:
+        obs = bloch_observable(theta, phi)
+        return obs, herm_eig(obs.matrix).eigenvectors
+
+    @functools.lru_cache(maxsize=64)
+    def term(*pairs: tuple[float, float]) -> float:
+        return term_value(*zip(*(party(*pair) for pair in pairs)))
 
     def objective(angles: np.ndarray) -> float:
-        return evaluate(kind, rho, settings_from_angles(angles))
+        pairs = [(float(angles[2 * n]), float(angles[2 * n + 1])) for n in range(6)]
+        total = 0.0
+        for sign, (i, j, k) in zip(TERM_SIGNS, TERMS):
+            total += sign * term(pairs[i - 1], pairs[j + 1], pairs[k + 3])
+        return abs(total) if kind is FunctionalKind.MABK else total
 
     best_angles = None
     best_value = -math.inf

@@ -75,7 +75,7 @@ def load_state_file(path: str) -> DensityMatrix:
         raise StateInputError(f"cannot read state file {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int_max_str_digits
         raise StateInputError(f"state file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise StateInputError(f"state file {path!r} must be an object with 'dim' and 'entries'")
@@ -87,7 +87,7 @@ def load_state_file(path: str) -> DensityMatrix:
         raise StateInputError(f"state file {path!r}: expected {dim * dim} entries")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateInputError(f"state file {path!r}: entries must be [re, im] pairs: {exc}") from exc
     try:
         return DensityMatrix(flat.reshape(dim, dim))

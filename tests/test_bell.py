@@ -281,6 +281,60 @@ def test_optimizer_never_violates_on_product_states():
         assert value <= bound + 1e-9
 
 
+def _plain_search(rho, kind, restarts, iterations, seed):
+    """optimize_settings without probe reuse: every probe evaluated from fresh settings."""
+
+    def objective(angles):
+        return evaluate(kind, rho, settings_from_angles(angles))
+
+    best_angles, best_value = None, -math.inf
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        start = np.empty(12)
+        for i in range(6):
+            start[2 * i] = rng.uniform(0.0, math.pi)
+            start[2 * i + 1] = rng.uniform(0.0, 2.0 * math.pi)
+        angles, value = bell_module._coordinate_ascent(
+            objective, start, iterations, step0=math.pi / 8.0, floor=1e-9
+        )
+        if value > best_value:
+            best_angles, best_value = angles, value
+    return settings_from_angles(best_angles), best_value
+
+
+@pytest.mark.parametrize("kind", list(FunctionalKind))
+def test_optimizer_matches_plain_search_bit_for_bit(kind, rho_w, rho_ghz):
+    """Reusing unchanged observables and terms between probes changes no bit of the search."""
+    for rho in (rho_ghz, rho_w, bell_module.family_state(Family.W_WERNER, (0.05,))):
+        settings, value = optimize_settings(rho, kind, restarts=2, iterations=6, seed=4)
+        ref_settings, ref_value = _plain_search(rho, kind, restarts=2, iterations=6, seed=4)
+        assert value == ref_value
+        for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2"):
+            assert getattr(settings, name).matrix.tobytes() == getattr(ref_settings, name).matrix.tobytes()
+
+
+def test_optimizer_probe_eigensolves_only_the_moved_observable(rho_ghz, monkeypatch):
+    counts = {"objective": 0, "herm_eig": 0}
+    ascent, herm_eig = bell_module._coordinate_ascent, bell_module.herm_eig
+
+    def counted_ascent(objective, *args, **kwargs):
+        def counted_objective(x):
+            counts["objective"] += 1
+            return objective(x)
+
+        return ascent(counted_objective, *args, **kwargs)
+
+    def counted_herm_eig(*args, **kwargs):
+        counts["herm_eig"] += 1
+        return herm_eig(*args, **kwargs)
+
+    monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
+    monkeypatch.setattr(bell_module, "herm_eig", counted_herm_eig)
+    optimize_settings(rho_ghz, FunctionalKind.L1, restarts=1, iterations=30, seed=0)
+    assert counts["objective"] > 100
+    assert counts["herm_eig"] <= counts["objective"] + 12
+
+
 def test_optimizer_argument_validation(rho_ghz):
     with pytest.raises(ValueError):
         optimize_settings(rho_ghz, FunctionalKind.L1, restarts=0)

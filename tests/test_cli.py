@@ -153,7 +153,11 @@ def test_malformed_state_files_exit_3_without_traceback(tmp_path, capsys):
     _write_state_file(non_finite, np.diag([math.nan, 0.5, 0.5, 0, 0, 0, 0, 0]))
     non_psd = tmp_path / "negative.json"
     _write_state_file(non_psd, np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
-    for path in (not_utf8, too_deep, non_finite, non_psd):
+    too_large = tmp_path / "overflow.json"
+    too_large.write_text('{"dim": 2, "entries": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]}')
+    too_many_digits = tmp_path / "digits.json"
+    too_many_digits.write_text('{"dim": 2, "entries": [[' + "1" * 5000 + ', 0], [0, 0], [0, 0], [0, 0]]}')
+    for path in (not_utf8, too_deep, non_finite, non_psd, too_large, too_many_digits):
         code, out, err = run_cli(capsys, "eval", "--state", f"file:{path}", "--settings", "example1", "--kind", "l1")
         assert (code, out) == (3, "")
         assert "Traceback" not in err
