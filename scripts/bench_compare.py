@@ -2,7 +2,7 @@
 """Print new / old for every end-to-end metric on every workload.
 
     python3 scripts/bench_compare.py BENCH_N.json             # parent runs vs change runs
-    python3 scripts/bench_compare.py BENCH_OLD.json BENCH_NEW.json  # change runs of each
+    python3 scripts/bench_compare.py BENCH_OLD.json BENCH_NEW.json  # change runs of each, with a drift warning
 
 A BENCH file holds ``runs``: objects with ``tree`` (parent or change),
 ``workload``, ``seed`` and the ``result`` line of ``perfbench/run.py``.
@@ -40,6 +40,8 @@ def main(argv: list) -> int:
         old, new = side(argv[0], "parent"), side(argv[0], "change")
     elif len(argv) == 2:
         old, new = side(argv[0], "change"), side(argv[1], "change")
+        print("warning: these runs come from different sessions, whose absolute numbers drift; "
+              "only interleaved parent/change pairs from one file count", file=sys.stderr)
     else:
         print(__doc__, file=sys.stderr)
         return 2

@@ -448,6 +448,7 @@ def optimize_settings(
     # A probe moves one angle, changing one observable and the two terms
     # that use it.  Keys are exact angles (the search never makes -0.0), so
     # a hit is bit-identical to a fresh evaluation; bounded for ~10^4 probes.
+    needs_vectors = kind in (FunctionalKind.L1, FunctionalKind.REL_ENT)
     entropy = von_neumann_entropy(rho) if kind is FunctionalKind.REL_ENT else 0.0
     term_value = {
         FunctionalKind.MABK: lambda obs, vecs: _mabk_term(rho, _mabk_operator(*obs)),
@@ -457,9 +458,9 @@ def optimize_settings(
     }[kind]
 
     @functools.lru_cache(maxsize=64)
-    def party(theta: float, phi: float) -> tuple[Observable, np.ndarray]:
+    def party(theta: float, phi: float) -> tuple[Observable, np.ndarray | None]:
         obs = bloch_observable(theta, phi)
-        return obs, herm_eig(obs.matrix).eigenvectors
+        return obs, herm_eig(obs.matrix).eigenvectors if needs_vectors else None
 
     @functools.lru_cache(maxsize=64)
     def term(*pairs: tuple[float, float]) -> float:

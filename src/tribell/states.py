@@ -20,7 +20,6 @@ from .linalg import (
     as_complex_matrix,
     herm_eig,
     hermiticity_defect,
-    kron,
     psd_sqrt,
 )
 
@@ -37,6 +36,13 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 class ParameterOutOfRangeError(ValueError):
     """Raised when a family parameter falls outside its closed domain."""
+
+
+def _require_unit_trace(m: np.ndarray) -> np.ndarray:
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
+    return m
 
 
 def _frozen_array(obj, name: str, value: np.ndarray) -> None:
@@ -62,6 +68,13 @@ class Ket:
             raise ValueError(f"ket norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         _frozen_array(self, "amplitudes", arr)
 
+    @classmethod
+    def _trusted(cls, amp: np.ndarray) -> "Ket":
+        """Unchecked ket from complex amplitudes that are unit-norm by construction."""
+        ket = object.__new__(cls)
+        _frozen_array(ket, "amplitudes", amp)
+        return ket
+
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -83,13 +96,18 @@ class DensityMatrix:
         defect = hermiticity_defect(m)
         if defect > HERMITICITY_TOL:
             raise NotHermitianError(f"density matrix hermiticity defect {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1")
+        _require_unit_trace(m)
         lowest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if lowest < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR:.1e}")
         _frozen_array(self, "matrix", 0.5 * (m + m.conj().T))
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
+        """Unchecked density matrix from a complex 2x2 or 8x8 the package built; same symmetrisation."""
+        rho = object.__new__(cls)
+        _frozen_array(rho, "matrix", 0.5 * (m + m.conj().T))
+        return rho
 
     @property
     def dim(self) -> int:
@@ -183,19 +201,23 @@ def bloch_observable(theta: float, phi: float) -> Observable:
 
 def w_class_pure(theta: float, phi: float) -> Ket:
     """Three-qubit W-class pure state cos(t)cos(f)|001> + cos(t)sin(f)|010> + sin(t)|100>."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"W-class angles must be finite, got ({theta!r}, {phi!r})")
     amp = np.zeros(8, dtype=complex)
     amp[1] = np.cos(theta) * np.cos(phi)
     amp[2] = np.cos(theta) * np.sin(phi)
     amp[4] = np.sin(theta)
-    return Ket(amp)
+    return Ket._trusted(amp)
 
 
 def ghz_class_pure(theta: float) -> Ket:
     """Three-qubit GHZ-class pure state cos(t)|000> + sin(t)|111>."""
+    if not math.isfinite(theta):
+        raise ValueError(f"GHZ-class angle must be finite, got {theta!r}")
     amp = np.zeros(8, dtype=complex)
     amp[0] = np.cos(theta)
     amp[7] = np.sin(theta)
-    return Ket(amp)
+    return Ket._trusted(amp)
 
 
 def w_state() -> Ket:
@@ -213,18 +235,20 @@ def ghz_state() -> Ket:
 
 
 def pure_density(ket: Ket) -> DensityMatrix:
-    """Rank-one projector onto a ket."""
+    """Rank-one projector onto a ket: PSD by construction, but a norm within NORM_TOL can miss TRACE_TOL."""
     v = ket.amplitudes
-    return DensityMatrix(np.outer(v, v.conj()))
+    if v.shape[0] not in (2, 8):
+        raise DimensionMismatchError(f"density matrix must be 2x2 or 8x8, got a {v.shape[0]}-dim ket")
+    return DensityMatrix._trusted(_require_unit_trace(np.outer(v, v.conj())))
 
 
 def werner_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """White-noise mixture (p / dim) I + (1 - p) rho for p in [0, 1]."""
+    """White-noise mixture (p / dim) I + (1 - p) rho for p in [0, 1]; convex, so valid unchecked."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRangeError(f"mixing weight p={p!r} outside [0, 1]")
     d = rho.dim
-    return DensityMatrix((p / d) * np.eye(d) + (1.0 - p) * rho.matrix)
+    return DensityMatrix._trusted((p / d) * np.eye(d) + (1.0 - p) * rho.matrix)
 
 
 def product_state(a: DensityMatrix, b: DensityMatrix, c: DensityMatrix) -> DensityMatrix:
@@ -232,7 +256,7 @@ def product_state(a: DensityMatrix, b: DensityMatrix, c: DensityMatrix) -> Densi
     for part in (a, b, c):
         if part.dim != 2:
             raise DimensionMismatchError("product_state expects three single-qubit factors")
-    return DensityMatrix(kron(kron(a.matrix, b.matrix), c.matrix))
+    return DensityMatrix(_kron(_kron(a.matrix, b.matrix), c.matrix))
 
 
 def eigenbasis(m: Observable) -> tuple[Ket, Ket]:
@@ -296,4 +320,4 @@ def random_single_qubit_state(seed: int) -> DensityMatrix:
     n = n / norm
     r = float(rng.uniform())
     bloch = r * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-    return DensityMatrix(0.5 * (IDENTITY_2 + bloch))
+    return DensityMatrix._trusted(0.5 * (IDENTITY_2 + bloch))

@@ -335,6 +335,20 @@ def test_optimizer_probe_eigensolves_only_the_moved_observable(rho_ghz, monkeypa
     assert counts["herm_eig"] <= counts["objective"] + 12
 
 
+def test_optimizer_mabk_and_skew_searches_never_eigensolve(rho_ghz, rho_w, monkeypatch):
+    calls = []
+    herm_eig = bell_module.herm_eig
+
+    def counted_herm_eig(*args, **kwargs):
+        calls.append(args)
+        return herm_eig(*args, **kwargs)
+
+    monkeypatch.setattr(bell_module, "herm_eig", counted_herm_eig)
+    optimize_settings(rho_ghz, FunctionalKind.MABK, restarts=1, iterations=20, seed=0)
+    optimize_settings(rho_w, FunctionalKind.SKEW, restarts=1, iterations=20, seed=0)
+    assert len(calls) == 0
+
+
 def test_optimizer_argument_validation(rho_ghz):
     with pytest.raises(ValueError):
         optimize_settings(rho_ghz, FunctionalKind.L1, restarts=0)

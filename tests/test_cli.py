@@ -157,7 +157,9 @@ def test_malformed_state_files_exit_3_without_traceback(tmp_path, capsys):
     too_large.write_text('{"dim": 2, "entries": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]}')
     too_many_digits = tmp_path / "digits.json"
     too_many_digits.write_text('{"dim": 2, "entries": [[' + "1" * 5000 + ', 0], [0, 0], [0, 0], [0, 0]]}')
-    for path in (not_utf8, too_deep, non_finite, non_psd, too_large, too_many_digits):
+    trace_off = tmp_path / "trace_off.json"
+    _write_state_file(trace_off, np.diag([0.5 + 2e-10, 0.5, 0, 0, 0, 0, 0, 0]))
+    for path in (not_utf8, too_deep, non_finite, non_psd, too_large, too_many_digits, trace_off):
         code, out, err = run_cli(capsys, "eval", "--state", f"file:{path}", "--settings", "example1", "--kind", "l1")
         assert (code, out) == (3, "")
         assert "Traceback" not in err

@@ -250,3 +250,73 @@ def test_density_root_is_cached_and_read_only():
     assert np.array_equal(rho.root, psd_sqrt(rho.matrix))
     with pytest.raises(ValueError):
         rho.root[0, 0] = 0.0
+
+
+def test_density_matrix_trace_and_eigenvalue_boundaries():
+    for delta in (2e-10, -2e-10):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.diag([0.5 + delta, 0.5]))
+    for delta in (5e-11, -5e-11):
+        DensityMatrix(np.diag([0.5 + delta, 0.5]))
+    with pytest.raises(ValueError):
+        DensityMatrix(np.diag([1.0 + 2e-12, -2e-12]))
+    DensityMatrix(np.diag([1.0 + 5e-13, -5e-13]))
+
+
+def test_ket_norm_boundary():
+    with pytest.raises(ValueError):
+        Ket(np.array([1.0 + 2e-10, 0.0]))
+    Ket(np.array([1.0 + 5e-11, 0.0]))
+
+
+def test_pure_density_checks_the_trace_a_ket_within_norm_tol_can_miss():
+    amp = np.zeros(8)
+    amp[0] = 1.0 + 0.6e-10
+    with pytest.raises(ValueError):
+        pure_density(Ket(amp))
+    amp[0] = 1.0 + 0.4e-10
+    assert abs(np.trace(pure_density(Ket(amp)).matrix) - 1.0) <= 1e-10
+    with pytest.raises(DimensionMismatchError):
+        pure_density(computational_kets(4)[0])
+
+
+def _raw_single_qubit_state(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = rng.normal(size=3)
+    while np.linalg.norm(n) < 1e-12:
+        n = rng.normal(size=3)
+    n = n / float(np.linalg.norm(n))
+    r = float(rng.uniform())
+    return 0.5 * (np.eye(2) + r * (n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")))
+
+
+def test_trusted_builders_match_the_checked_constructors():
+    rng = np.random.default_rng(23)
+    bases = []
+    for theta, phi in rng.uniform(0.0, 1.0, size=(200, 2)) * (math.pi, 2.0 * math.pi):
+        raw_w = np.zeros(8, dtype=complex)
+        raw_w[[1, 2, 4]] = np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), np.sin(theta)
+        raw_ghz = np.zeros(8, dtype=complex)
+        raw_ghz[[0, 7]] = np.cos(theta), np.sin(theta)
+        for trusted, raw in ((w_class_pure(theta, phi), raw_w), (ghz_class_pure(theta), raw_ghz)):
+            assert trusted.amplitudes.tobytes() == Ket(raw).amplitudes.tobytes()
+            v = trusted.amplitudes
+            rho = pure_density(trusted)
+            assert rho.matrix.tobytes() == DensityMatrix(np.outer(v, v.conj())).matrix.tobytes()
+            bases.append(rho)
+    for p in [0.0, 1.0, *rng.uniform(0.0, 1.0, size=50)]:
+        for rho in (bases[0], bases[1], pure_density(w_state()), pure_density(ghz_state())):
+            raw = (p / 8) * np.eye(8) + (1.0 - p) * rho.matrix
+            assert werner_mix(rho, p).matrix.tobytes() == DensityMatrix(raw).matrix.tobytes()
+    for seed in range(200):
+        raw = _raw_single_qubit_state(seed)
+        assert random_single_qubit_state(seed).matrix.tobytes() == DensityMatrix(raw).matrix.tobytes()
+
+
+def test_family_kets_reject_non_finite_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        for theta, phi in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError):
+                w_class_pure(theta, phi)
+        with pytest.raises(ValueError):
+            ghz_class_pure(bad)
