@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _kron, herm_eig
-from .measures import _prob_entropy, _skew_from_root, von_neumann_entropy
+from .linalg import _adjoint, _kron, herm_eig
+from .measures import _clamp_at_zero, _prob_entropy, _skew_from_root
 from .states import (
     DensityMatrix,
     Observable,
@@ -88,8 +88,8 @@ class BellSettings:
     # (cached_property writes the instance __dict__, which a frozen
     # dataclass allows); reuse one settings object across states.
     @functools.cached_property
-    def term_unitaries(self) -> tuple[np.ndarray, ...]:
-        """8x8 product-basis unitaries for the four terms.
+    def term_unitaries(self) -> np.ndarray:
+        """The four terms' 8x8 product-basis unitaries, stacked (4, 8, 8).
 
         The Kronecker product of the three party eigenvector matrices
         stacks the product kets in the same lexicographic column order that
@@ -106,13 +106,13 @@ class BellSettings:
         )
 
     @functools.cached_property
-    def mabk_operators(self) -> tuple[np.ndarray, ...]:
-        """The four joint correlator operators A (x) B (x) C."""
+    def mabk_operators(self) -> np.ndarray:
+        """The four joint correlator operators A (x) B (x) C, stacked (4, 8, 8)."""
         return _read_only(_mabk_operator(*self.for_term(term)) for term in TERMS)
 
     @functools.cached_property
-    def collective_observables(self) -> tuple[np.ndarray, ...]:
-        """The four collective observables A + B + C of the skew terms."""
+    def collective_observables(self) -> np.ndarray:
+        """The four collective observables A + B + C of the skew terms, stacked (4, 8, 8)."""
         return _read_only(collective_observable(*self.for_term(term)) for term in TERMS)
 
 
@@ -124,10 +124,9 @@ def _mabk_operator(a: Observable, b: Observable, c: Observable) -> np.ndarray:
     return _kron(_kron(a.matrix, b.matrix), c.matrix)
 
 
-def _read_only(arrays) -> tuple[np.ndarray, ...]:
-    out = tuple(arrays)
-    for arr in out:
-        arr.setflags(write=False)
+def _read_only(arrays) -> np.ndarray:
+    out = np.stack(tuple(arrays))
+    out.setflags(write=False)
     return out
 
 
@@ -167,52 +166,50 @@ def example2_settings() -> BellSettings:
     )
 
 
-def _mabk_term(rho: DensityMatrix, joint: np.ndarray) -> float:
-    return float(np.trace(rho.matrix @ joint).real)
+# Array kernels: states (..., 8, 8) and term operands (..., 8, 8) broadcast against each other
+# (one state under a settings object's (4, 8, 8) operands gives (4,), an (N, 1, 8, 8) stack gives
+# (N, 4), one state and one operand a scalar), and each value gets the arithmetic of one term on
+# one state, so its bits do not depend on the stacking.  measures._skew_from_root is the skew kernel.
+def _mabk_terms(rhos: np.ndarray, joints: np.ndarray) -> np.ndarray:
+    return np.trace(rhos @ joints, axis1=-2, axis2=-1).real
 
 
-def _l1_term(rho: DensityMatrix, u: np.ndarray) -> float:
-    rep = u.conj().T @ rho.matrix @ u
-    return float(np.sum(np.abs(rep))) - 1.0
+def _l1_terms(rhos: np.ndarray, us: np.ndarray) -> np.ndarray:
+    return np.add.reduce(np.abs(_adjoint(us) @ rhos @ us), axis=(-2, -1)) - 1.0
 
 
-def _rel_ent_term(rho: DensityMatrix, u: np.ndarray, entropy: float) -> float:
-    populations = np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u).real
-    return max(0.0, _prob_entropy(populations) - entropy)
+def _rel_ent_terms(rhos: np.ndarray, us: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Also takes the states' eigenvalues, (..., 8) like rhos; one entropy call serves populations and spectra."""
+    populations = np.einsum("...ij,...jk,...ki->...i", _adjoint(us), rhos, us).real
+    entropies = _prob_entropy(np.concatenate([populations.reshape(-1, 8), spectra.reshape(-1, 8)]))
+    n = populations.size // 8
+    gain = entropies[:n].reshape(populations.shape[:-1]) - entropies[n:].reshape(spectra.shape[:-1])
+    return _clamp_at_zero(gain)
+
+
+def _signed_sum(t0, t1, t2, t3):
+    """The TERM_SIGNS combination of four terms (floats or like-shaped arrays), added from 0.0 in order."""
+    return 0.0 + t0 + t1 + t2 - t3
 
 
 def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
     """Absolute value of the signed combination of product correlators."""
-    total = 0.0
-    for sign, joint in zip(TERM_SIGNS, settings.mabk_operators):
-        total += sign * _mabk_term(rho, joint)
-    return abs(total)
+    return float(abs(_signed_sum(*_mabk_terms(rho.matrix, settings.mabk_operators))))
 
 
 def bell_l1(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of l1 coherences in the term product bases."""
-    total = 0.0
-    for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
-        total += sign * _l1_term(rho, u)
-    return total
+    return float(_signed_sum(*_l1_terms(rho.matrix, settings.term_unitaries)))
 
 
 def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of relative-entropy coherences in the term bases."""
-    state_entropy = von_neumann_entropy(rho)
-    total = 0.0
-    for sign, u in zip(TERM_SIGNS, settings.term_unitaries):
-        total += sign * _rel_ent_term(rho, u, state_entropy)
-    return total
+    return float(_signed_sum(*_rel_ent_terms(rho.matrix, settings.term_unitaries, np.linalg.eigvalsh(rho.matrix))))
 
 
 def bell_skew(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of skew informations of collective observables."""
-    root = rho.root
-    total = 0.0
-    for sign, joint in zip(TERM_SIGNS, settings.collective_observables):
-        total += sign * _skew_from_root(root, joint)
-    return total
+    return float(_signed_sum(*_skew_from_root(rho.root, settings.collective_observables)))
 
 
 _EVALUATORS = {
@@ -226,37 +223,6 @@ _EVALUATORS = {
 def evaluate(kind: FunctionalKind, rho: DensityMatrix, settings: BellSettings) -> float:
     """Evaluate one functional kind on a state with given settings."""
     return _EVALUATORS[kind](rho, settings)
-
-
-@dataclass(frozen=True)
-class BellReport:
-    """Outcome of one functional evaluation."""
-
-    kind: FunctionalKind
-    value: float
-    bound: float
-    violated: bool
-    state: str
-    settings: str
-
-
-def make_report(
-    kind: FunctionalKind,
-    rho: DensityMatrix,
-    settings: BellSettings,
-    state_desc: str = "custom",
-    settings_desc: str = "custom",
-) -> BellReport:
-    value = evaluate(kind, rho, settings)
-    bound = product_bound(kind)
-    return BellReport(
-        kind=kind,
-        value=value,
-        bound=bound,
-        violated=value > bound + VIOLATION_MARGIN,
-        state=state_desc,
-        settings=settings_desc,
-    )
 
 
 class Family(Enum):
@@ -449,11 +415,11 @@ def optimize_settings(
     # that use it.  Keys are exact angles (the search never makes -0.0), so
     # a hit is bit-identical to a fresh evaluation; bounded for ~10^4 probes.
     needs_vectors = kind in (FunctionalKind.L1, FunctionalKind.REL_ENT)
-    entropy = von_neumann_entropy(rho) if kind is FunctionalKind.REL_ENT else 0.0
+    spectrum = np.linalg.eigvalsh(rho.matrix)
     term_value = {
-        FunctionalKind.MABK: lambda obs, vecs: _mabk_term(rho, _mabk_operator(*obs)),
-        FunctionalKind.L1: lambda obs, vecs: _l1_term(rho, _term_unitary(*vecs)),
-        FunctionalKind.REL_ENT: lambda obs, vecs: _rel_ent_term(rho, _term_unitary(*vecs), entropy),
+        FunctionalKind.MABK: lambda obs, vecs: _mabk_terms(rho.matrix, _mabk_operator(*obs)),
+        FunctionalKind.L1: lambda obs, vecs: _l1_terms(rho.matrix, _term_unitary(*vecs)),
+        FunctionalKind.REL_ENT: lambda obs, vecs: _rel_ent_terms(rho.matrix, _term_unitary(*vecs), spectrum),
         FunctionalKind.SKEW: lambda obs, vecs: _skew_from_root(rho.root, collective_observable(*obs)),
     }[kind]
 
@@ -464,13 +430,11 @@ def optimize_settings(
 
     @functools.lru_cache(maxsize=64)
     def term(*pairs: tuple[float, float]) -> float:
-        return term_value(*zip(*(party(*pair) for pair in pairs)))
+        return float(term_value(*zip(*(party(*pair) for pair in pairs))))
 
     def objective(angles: np.ndarray) -> float:
         pairs = [(float(angles[2 * n]), float(angles[2 * n + 1])) for n in range(6)]
-        total = 0.0
-        for sign, (i, j, k) in zip(TERM_SIGNS, TERMS):
-            total += sign * term(pairs[i - 1], pairs[j + 1], pairs[k + 3])
+        total = _signed_sum(*[term(pairs[i - 1], pairs[j + 1], pairs[k + 3]) for i, j, k in TERMS])
         return abs(total) if kind is FunctionalKind.MABK else total
 
     best_angles = None

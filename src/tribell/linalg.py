@@ -39,15 +39,24 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return _require_finite(m)
+
+
+def _require_finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -76,8 +85,12 @@ def commutator(a, b) -> np.ndarray:
 
 def hermiticity_defect(a) -> float:
     """Largest entrywise deviation of a from its own adjoint."""
-    m = _require_square(as_complex_matrix(a))
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return _hermiticity_defect(_require_square(as_complex_matrix(a)))
+
+
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation from the adjoint over a square (..., n, n) stack."""
+    return float(np.max(np.abs(m - _adjoint(m)))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -94,10 +107,11 @@ class HermEigen:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each unit column so its largest-modulus component (first on ties) is real positive."""
-    moduli = np.abs(vectors)
-    idx, cols = np.argmax(moduli, axis=0), np.arange(vectors.shape[1])
-    return vectors * (np.conj(vectors[idx, cols]) / moduli[idx, cols])
+    """Rotate each unit column (of each stacked matrix) so its largest-modulus component, first on ties, is real positive."""
+    v = vectors.reshape(-1, *vectors.shape[-2:])
+    moduli = np.abs(v)
+    stack, idx, cols = np.arange(len(v))[:, None], np.argmax(moduli, axis=1), np.arange(v.shape[-1])
+    return (v * (np.conj(v[stack, idx, cols]) / moduli[stack, idx, cols])[:, None, :]).reshape(vectors.shape)
 
 
 def herm_eig(a, tol: float = HERMITICITY_TOL) -> HermEigen:
@@ -106,31 +120,35 @@ def herm_eig(a, tol: float = HERMITICITY_TOL) -> HermEigen:
     Raises NotHermitianError if the hermiticity defect exceeds tol, and
     NoConvergenceError if the underlying solver fails.
     """
-    m = _require_square(as_complex_matrix(a))
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return HermEigen(*_herm_eigh(_require_square(as_complex_matrix(a)), tol))
+
+
+def _herm_eigh(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """herm_eig's check, eigensolve and phase convention on each matrix of a square (..., n, n) stack."""
+    defect = _hermiticity_defect(m)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    sym = 0.5 * (m + m.conj().T)
     try:
-        values, vectors = np.linalg.eigh(sym)
+        values, vectors = np.linalg.eigh(0.5 * (m + _adjoint(m)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolve did not converge: {exc}") from exc
-    return HermEigen(eigenvalues=values, eigenvectors=_fix_phases(vectors))
+    return values, _fix_phases(vectors)
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
+    """Principal square root of a positive semidefinite Hermitian matrix, or of each in a (..., n, n) stack.
 
     Eigenvalues in [PSD_FLOOR, 0) are treated as exact zeros, as are
-    nonnegative eigenvalues below the relative spectral cutoff.  Anything
-    below PSD_FLOOR raises NotPSDError.
+    nonnegative eigenvalues below each matrix's relative spectral cutoff.
+    Anything below PSD_FLOOR raises NotPSDError.
     """
-    eig = herm_eig(a)
-    values = eig.eigenvalues
-    if values.size and float(values.min()) < PSD_FLOOR:
-        raise NotPSDError(f"minimum eigenvalue {float(values.min()):.3e} is below {PSD_FLOOR:.1e}")
-    top = float(values.max()) if values.size else 0.0
-    cutoff = SPECTRAL_CUTOFF_FACTOR * np.finfo(float).eps * max(top, 0.0)
-    clean = np.where(values < cutoff, 0.0, values)
-    root = (eig.eigenvectors * np.sqrt(clean)) @ eig.eigenvectors.conj().T
-    return 0.5 * (root + root.conj().T)
+    m = np.asarray(a, dtype=complex)
+    m = _require_finite(m) if m.ndim > 2 else as_complex_matrix(m)
+    values, vectors = _herm_eigh(_require_square(m), HERMITICITY_TOL)
+    lowest = float(np.min(values, initial=0.0))
+    if lowest < PSD_FLOOR:
+        raise NotPSDError(f"minimum eigenvalue {lowest:.3e} is below {PSD_FLOOR:.1e}")
+    top = np.max(values, axis=-1, keepdims=True, initial=0.0)
+    clean = np.where(values < SPECTRAL_CUTOFF_FACTOR * np.finfo(float).eps * top, 0.0, values)
+    root = (vectors * np.sqrt(clean)[..., None, :]) @ _adjoint(vectors)
+    return 0.5 * (root + _adjoint(root))

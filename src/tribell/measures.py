@@ -57,14 +57,22 @@ def l1_coherence(rho: DensityMatrix, basis: BasisLike) -> float:
     return float(np.sum(np.abs(rep)) - 1.0)
 
 
-def _prob_entropy(p: np.ndarray) -> float:
-    p = p[p > ENTROPY_FLOOR]
-    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+def _prob_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis (length at most 8), entries at or below ENTROPY_FLOOR dropped.
+
+    Bit for bit np.sum over the kept entries alone, which adds 8 pairwise and fewer in order (the
+    zeros left by dropped entries do not change an in-order sum); a row with nothing kept is 0.0.
+    """
+    kept = p > ENTROPY_FLOOR
+    terms = p * np.log2(np.where(kept, p, 1.0))
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    total = np.where(kept.all(axis=-1), np.add.reduce(terms, axis=-1), total)
+    return np.where(kept.any(axis=-1), -total, 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy -sum lam log2 lam with tiny eigenvalues dropped."""
-    return _prob_entropy(np.linalg.eigvalsh(rho.matrix))
+    return float(_prob_entropy(np.linalg.eigvalsh(rho.matrix)))
 
 
 def dephase(rho: DensityMatrix, basis: BasisLike) -> DensityMatrix:
@@ -92,15 +100,21 @@ def _check_observable_matrix(rho: DensityMatrix, x) -> np.ndarray:
     return m
 
 
-def _skew_from_root(root: np.ndarray, m: np.ndarray) -> float:
+def _skew_from_root(root: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """-1/2 Tr [root, m]^2, clamped at 0, over broadcast (..., n, n) stacks of roots and observables."""
     c = root @ m - m @ root
-    return max(0.0, float(-0.5 * np.trace(c @ c).real))
+    return _clamp_at_zero((-0.5 * np.trace(c @ c, axis1=-2, axis2=-1)).real)
+
+
+def _clamp_at_zero(x):
+    """max(0.0, x) elementwise for finite x; adding 0.0 turns a -0.0 that np.maximum may keep into 0.0."""
+    return np.maximum(x, 0.0) + 0.0
 
 
 def skew_information(rho: DensityMatrix, x) -> float:
     """Wigner-Yanase skew information -1/2 Tr [sqrt(rho), X]^2."""
     m = _check_observable_matrix(rho, x)
-    return _skew_from_root(psd_sqrt(rho.matrix), m)
+    return float(_skew_from_root(psd_sqrt(rho.matrix), m))
 
 
 def variance(rho: DensityMatrix, x) -> float:

@@ -16,7 +16,10 @@ from .linalg import (
     DimensionMismatchError,
     HERMITICITY_TOL,
     NotHermitianError,
+    _adjoint,
+    _hermiticity_defect,
     _kron,
+    _require_finite,
     as_complex_matrix,
     herm_eig,
     hermiticity_defect,
@@ -39,10 +42,30 @@ class ParameterOutOfRangeError(ValueError):
 
 
 def _require_unit_trace(m: np.ndarray) -> np.ndarray:
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
+    traces = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    off = traces[np.abs(traces - 1.0) > TRACE_TOL]
+    if off.size:
+        raise ValueError(f"density matrix trace {complex(off[0])!r} deviates from 1")
     return m
+
+
+def _checked_density(m: np.ndarray) -> np.ndarray:
+    """Symmetrised copy of a complex (..., d, d) stack whose every member passes the density-matrix checks.
+
+    In order: finite entries, d of 2 or 8, hermiticity, unit trace, no eigenvalue below EIGENVALUE_FLOOR.
+    """
+    _require_finite(m)
+    if m.shape[-2:] not in ((2, 2), (8, 8)):
+        raise DimensionMismatchError(f"density matrix must be 2x2 or 8x8, got {m.shape}")
+    defect = _hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(f"density matrix hermiticity defect {defect:.3e}")
+    _require_unit_trace(m)
+    sym = 0.5 * (m + _adjoint(m))
+    lowest = float(np.linalg.eigvalsh(sym).min())
+    if lowest < EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR:.1e}")
+    return sym
 
 
 def _frozen_array(obj, name: str, value: np.ndarray) -> None:
@@ -90,17 +113,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1] or m.shape[0] not in (2, 8):
-            raise DimensionMismatchError(f"density matrix must be 2x2 or 8x8, got {m.shape}")
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise NotHermitianError(f"density matrix hermiticity defect {defect:.3e}")
-        _require_unit_trace(m)
-        lowest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if lowest < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR:.1e}")
-        _frozen_array(self, "matrix", 0.5 * (m + m.conj().T))
+        _frozen_array(self, "matrix", _checked_density(as_complex_matrix(self.matrix)))
 
     @classmethod
     def _trusted(cls, m: np.ndarray) -> "DensityMatrix":

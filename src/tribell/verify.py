@@ -29,7 +29,6 @@ from .bell import (
     bell_l1,
     bell_rel_ent,
     bell_skew,
-    evaluate,
     evaluate_family,
     example1_settings,
     example2_settings,
@@ -38,9 +37,13 @@ from .bell import (
     random_settings,
     threshold_bisect,
 )
+from .bell import _l1_terms, _mabk_terms, _rel_ent_terms, _signed_sum
+from .linalg import _kron, psd_sqrt
+from .measures import _skew_from_root
 from .states import (
     DensityMatrix,
     Observable,
+    _checked_density,
     ghz_state,
     pauli,
     product_state,
@@ -211,26 +214,28 @@ def _curve(family: Family, kind: FunctionalKind, settings: BellSettings) -> Fami
     return FamilyCurve(family=family, kind=kind, settings=settings)
 
 
-def _ensemble_margins(n_states: int = 1000, n_settings: int = 100):
-    """Largest functional values over random product states.
+def _ensemble_values(n_states: int = 1000, n_settings: int = 100) -> dict:
+    """Functional values of random product states, one array of n_states per kind.
 
     State i pairs with settings i mod n_settings; single-qubit factors of
     state i use seeds 3i, 3i+1, 3i+2 and settings j uses seed 10000 + j.
+    Settings object j builds, checks and evaluates its states as one stack.
     """
-    settings_pool = [random_settings(10000 + j) for j in range(n_settings)]
-    worst = {kind: -math.inf for kind in FunctionalKind}
-    for i in range(n_states):
-        rho = product_state(
-            random_single_qubit_state(3 * i),
-            random_single_qubit_state(3 * i + 1),
-            random_single_qubit_state(3 * i + 2),
-        )
-        s = settings_pool[i % n_settings]
-        for kind in FunctionalKind:
-            value = evaluate(kind, rho, s)
-            if value > worst[kind]:
-                worst[kind] = value
-    return worst
+    mabk_v, l1_v, rel_ent_v, skew_v = values = np.empty((4, n_states))
+    for j in range(min(n_settings, n_states)):
+        s, g = random_settings(10000 + j), slice(j, n_states, n_settings)
+        factors = ([random_single_qubit_state(3 * i + k).matrix for k in range(3)] for i in range(n_states)[g])
+        rhos = _checked_density(np.array([_kron(_kron(a, b), c) for a, b, c in factors]))[:, None]
+        mabk_v[g] = abs(_signed_sum(*_mabk_terms(rhos, s.mabk_operators).T))
+        l1_v[g] = _signed_sum(*_l1_terms(rhos, s.term_unitaries).T)
+        rel_ent_v[g] = _signed_sum(*_rel_ent_terms(rhos, s.term_unitaries, np.linalg.eigvalsh(rhos)).T)
+        skew_v[g] = _signed_sum(*_skew_from_root(psd_sqrt(rhos), s.collective_observables).T)
+    return dict(zip(FunctionalKind, values))
+
+
+def _ensemble_margins(n_states: int = 1000, n_settings: int = 100):
+    """Largest functional values over random product states (see _ensemble_values)."""
+    return {kind: float(np.max(v, initial=-math.inf)) for kind, v in _ensemble_values(n_states, n_settings).items()}
 
 
 def checks(ensemble_states: int = 1000) -> list[CheckResult]:

@@ -239,6 +239,24 @@ def test_threshold_rejects_non_monotone_bracket(ex1):
         threshold_bisect(curve, (0.2, 0.9))
 
 
+@pytest.mark.parametrize("rise", [0.0, 1e-9])
+def test_threshold_precheck_catches_a_small_rise(monkeypatch, ex1, rise):
+    """A curve flat, falling through the bound at 0.5, then flat; 1e-9 added at one of the 16 samples."""
+    bound = product_bound(FunctionalKind.L1)
+    bumped = 0.0 + (1.0 - 0.0) * 3 / 17.0  # threshold_bisect's third interior sample point
+
+    def curve_value(curve, t):
+        return bound + min(max(0.5 - t, -0.1), 0.1) + (rise if t == bumped else 0.0)
+
+    monkeypatch.setattr(bell_module, "evaluate_family", curve_value)
+    curve = FamilyCurve(Family.GHZ_WERNER, FunctionalKind.L1, ex1)
+    if rise:
+        with pytest.raises(NotMonotoneError):
+            threshold_bisect(curve, (0.0, 1.0))
+    else:
+        assert threshold_bisect(curve, (0.0, 1.0)) == 0.5
+
+
 def test_threshold_rejects_two_parameter_family(ex1):
     with pytest.raises(ValueError):
         threshold_bisect(FamilyCurve(Family.W_PURE, FunctionalKind.L1, ex1), (0.0, 1.0))

@@ -300,3 +300,18 @@ def test_state_file_loader_round_trip(tmp_path):
     _write_state_file(path, pure_density(w_state()).matrix)
     rho = cli.load_state_file(str(path))
     np.testing.assert_allclose(rho.matrix, pure_density(w_state()).matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("excess, violated", [(5e-10, False), (2e-9, True)])
+def test_violation_flag_sits_at_the_margin(capsys, monkeypatch, excess, violated):
+    """VIOLATION_MARGIN is 1e-9: bound + 5e-10 is not a violation, bound + 2e-9 is."""
+    bound = 14.0
+    monkeypatch.setattr(cli, "evaluate", lambda kind, rho, settings: bound + excess)
+    code, out, _ = run_cli(capsys, "eval", "--state", "w", "--settings", "example1", "--kind", "l1")
+    assert code == 0
+    assert json.loads(out)["violated"] is violated
+
+    monkeypatch.setattr(cli, "evaluate_family", lambda curve, point: bound + excess)
+    code, out, _ = run_cli(capsys, "scan", "--state", "w-werner", "--kind", "l1", "--grid", "3", "--format", "json")
+    assert code == 0
+    assert [row["violated"] for row in json.loads(out)["rows"]] == [violated] * 3
