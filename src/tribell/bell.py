@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _adjoint, _kron, herm_eig
+from .linalg import _adjoint, _kron, herm_eig, psd_sqrt
 from .measures import _clamp_at_zero, _prob_entropy, _skew_from_root
 from .states import (
     DensityMatrix,
@@ -31,6 +31,7 @@ from .states import (
     w_class_pure,
     werner_mix,
 )
+from .states import _ghz_amplitudes, _projectors, _symmetrised, _w_amplitudes, _werner_matrix
 
 TERMS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
 TERM_SIGNS = (1.0, 1.0, 1.0, -1.0)
@@ -225,6 +226,20 @@ def evaluate(kind: FunctionalKind, rho: DensityMatrix, settings: BellSettings) -
     return _EVALUATORS[kind](rho, settings)
 
 
+def _evaluate_stack(kind: FunctionalKind, rhos: np.ndarray, settings: BellSettings) -> np.ndarray:
+    """evaluate on each state of a valid (N, 8, 8) stack, as (N,) values with the same bits, in one kernel call."""
+    rhos = rhos[:, None]
+    if kind is FunctionalKind.MABK:
+        return abs(_signed_sum(*_mabk_terms(rhos, settings.mabk_operators).T))
+    if kind is FunctionalKind.L1:
+        terms = _l1_terms(rhos, settings.term_unitaries)
+    elif kind is FunctionalKind.REL_ENT:
+        terms = _rel_ent_terms(rhos, settings.term_unitaries, np.linalg.eigvalsh(rhos))
+    else:
+        terms = _skew_from_root(psd_sqrt(rhos), settings.collective_observables)
+    return _signed_sum(*terms.T)
+
+
 class Family(Enum):
     W_PURE = "w-pure"
     GHZ_PURE = "ghz-pure"
@@ -244,8 +259,7 @@ def family_param_count(family: Family) -> int:
     return len(FAMILY_DOMAINS[family])
 
 
-def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
-    """Construct the parametrized family member, validating the domain."""
+def _check_point(family: Family, params: tuple[float, ...]) -> None:
     domain = FAMILY_DOMAINS[family]
     if len(params) != len(domain):
         raise ParameterOutOfRangeError(
@@ -256,11 +270,32 @@ def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
             raise ParameterOutOfRangeError(
                 f"parameter {value!r} outside [{lo:.6g}, {hi:.6g}] for family {family.value}"
             )
+
+
+def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
+    """Construct the parametrized family member, validating the domain."""
+    _check_point(family, params)
     if family is Family.W_PURE:
         return pure_density(w_class_pure(params[0], params[1]))
     if family is Family.GHZ_PURE:
         return pure_density(ghz_class_pure(params[0]))
     return werner_mix(_werner_base(family), params[0])
+
+
+def family_states(family: Family, points: np.ndarray) -> np.ndarray:
+    """family_state's matrices at an (N, k) array of points, as one (N, 8, 8) stack with the same bits.
+
+    The first point outside the domain raises family_state's error.
+    """
+    domain = np.array(FAMILY_DOMAINS[family])
+    inside = points.shape[1] == len(domain) and ((domain[:, 0] <= points) & (points <= domain[:, 1])).all(axis=1)
+    if not np.all(inside):
+        _check_point(family, tuple(float(v) for v in points[np.argmin(inside)]))
+    if family is Family.W_PURE:
+        return _symmetrised(_projectors(_w_amplitudes(points[:, 0], points[:, 1])))
+    if family is Family.GHZ_PURE:
+        return _symmetrised(_projectors(_ghz_amplitudes(points[:, 0])))
+    return _symmetrised(_werner_matrix(_werner_base(family).matrix, points[:, :, None]))
 
 
 @functools.cache
@@ -282,12 +317,24 @@ class FamilyCurve:
 
 def evaluate_family(curve: FamilyCurve, params) -> float:
     """Evaluate the curve at a parameter point (scalar or tuple)."""
-    if np.isscalar(params):
-        point = (float(params),)
-    else:
-        point = tuple(float(v) for v in params)
-    rho = family_state(curve.family, point)
-    return evaluate(curve.kind, rho, curve.settings)
+    point = (float(params),) if np.isscalar(params) else tuple(float(v) for v in params)
+    return evaluate(curve.kind, family_state(curve.family, point), curve.settings)
+
+
+GRID_CHUNK = 128  # states per kernel call in evaluate_family_grid
+
+
+def evaluate_family_grid(curve: FamilyCurve, points) -> np.ndarray:
+    """evaluate_family at N points, an (N, k) array or N scalars, with its bits and errors.
+
+    Members are built and evaluated GRID_CHUNK at a time, one kernel call per chunk.
+    """
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    values = np.empty(len(points))
+    for start in range(0, len(points), GRID_CHUNK):
+        chunk = slice(start, start + GRID_CHUNK)
+        values[chunk] = _evaluate_stack(curve.kind, family_states(curve.family, points[chunk]), curve.settings)
+    return values
 
 
 class NoSignChangeError(RuntimeError):
@@ -396,18 +443,23 @@ def _coordinate_ascent(objective, start, iterations: int, step0: float, floor: f
     return x, best
 
 
-def optimize_settings(
-    rho: DensityMatrix,
-    kind: FunctionalKind,
-    restarts: int = 8,
-    iterations: int = 200,
-    seed: int = 0,
-) -> tuple[BellSettings, float]:
+@dataclass(frozen=True)
+class OptimizeResult:
+    """A search's best settings, the 12 angles they are built from, their value, and its objective calls."""
+
+    settings: BellSettings
+    angles: tuple[float, ...]
+    value: float
+    evaluations: int
+
+
+def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterations: int = 200,
+             seed: int = 0) -> OptimizeResult:
     """Search over all 12 Bloch angles for settings maximizing a functional.
 
     Deterministic for fixed arguments: restart r draws its start point
-    from default_rng([seed, r]).  Returns the best settings found and
-    their value.
+    from default_rng([seed, r]).  settings_from_angles(result.angles)
+    gives result.settings, on which evaluate gives result.value exactly.
     """
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
@@ -432,7 +484,11 @@ def optimize_settings(
     def term(*pairs: tuple[float, float]) -> float:
         return float(term_value(*zip(*(party(*pair) for pair in pairs))))
 
+    evaluations = 0  # objective calls
+
     def objective(angles: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
         pairs = [(float(angles[2 * n]), float(angles[2 * n + 1])) for n in range(6)]
         total = _signed_sum(*[term(pairs[i - 1], pairs[j + 1], pairs[k + 3]) for i, j, k in TERMS])
         return abs(total) if kind is FunctionalKind.MABK else total
@@ -450,4 +506,12 @@ def optimize_settings(
         )
         if value > best_value:
             best_angles, best_value = angles, value
-    return settings_from_angles(best_angles), best_value
+    angles = tuple(float(v) for v in best_angles)
+    return OptimizeResult(settings_from_angles(angles), angles, best_value, evaluations)
+
+
+def optimize_settings(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterations: int = 200,
+                      seed: int = 0) -> tuple[BellSettings, float]:
+    """optimize's best settings and their value."""
+    result = optimize(rho, kind, restarts, iterations, seed)
+    return result.settings, result.value

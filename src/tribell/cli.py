@@ -29,7 +29,7 @@ from .bell import (
     example2_settings,
     family_param_count,
     family_state,
-    optimize_settings,
+    optimize,
     product_bound,
     settings_from_angles,
     threshold_bisect,
@@ -304,35 +304,11 @@ def cmd_optimize(args) -> int:
         raise CliInputError("restarts and iterations must be positive")
     if args.seed < 0:
         raise CliInputError(f"seed must be non-negative, got {args.seed}")
-    settings, value = optimize_settings(
-        rho, kind, restarts=args.restarts, iterations=args.iterations, seed=args.seed
-    )
-    angles = []
-    for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2"):
-        matrix = getattr(settings, name).matrix
-        nz = float(matrix[0, 0].real)
-        nx = float(matrix[0, 1].real)
-        ny = float(-matrix[0, 1].imag)
-        theta = math.acos(max(-1.0, min(1.0, nz)))
-        phi = math.atan2(ny, nx) % (2.0 * math.pi) if (abs(nx) > 1e-15 or abs(ny) > 1e-15) else 0.0
-        angles.extend([theta, phi])
-    bound = product_bound(kind)
-    print(
-        json.dumps(
-            {
-                "kind": kind.value,
-                "state": state_desc,
-                "value": value,
-                "bound": bound,
-                "violated": value > bound + VIOLATION_MARGIN,
-                "angles": angles,
-                "restarts": args.restarts,
-                "iterations": args.iterations,
-                "seed": args.seed,
-            },
-            indent=2,
-        )
-    )
+    result = optimize(rho, kind, restarts=args.restarts, iterations=args.iterations, seed=args.seed)
+    value, bound = result.value, product_bound(kind)
+    print(json.dumps({"kind": kind.value, "state": state_desc, "value": value, "bound": bound,
+                      "violated": value > bound + VIOLATION_MARGIN, "angles": result.angles,
+                      "restarts": args.restarts, "iterations": args.iterations, "seed": args.seed}, indent=2))
     return EXIT_OK
 
 

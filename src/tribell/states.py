@@ -61,11 +61,16 @@ def _checked_density(m: np.ndarray) -> np.ndarray:
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"density matrix hermiticity defect {defect:.3e}")
     _require_unit_trace(m)
-    sym = 0.5 * (m + _adjoint(m))
+    sym = _symmetrised(m)
     lowest = float(np.linalg.eigvalsh(sym).min())
     if lowest < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR:.1e}")
     return sym
+
+
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^dagger) of each matrix in a (..., d, d) stack: what a DensityMatrix stores."""
+    return 0.5 * (m + _adjoint(m))
 
 
 def _frozen_array(obj, name: str, value: np.ndarray) -> None:
@@ -119,7 +124,7 @@ class DensityMatrix:
     def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
         """Unchecked density matrix from a complex 2x2 or 8x8 the package built; same symmetrisation."""
         rho = object.__new__(cls)
-        _frozen_array(rho, "matrix", 0.5 * (m + m.conj().T))
+        _frozen_array(rho, "matrix", _symmetrised(m))
         return rho
 
     @property
@@ -216,21 +221,30 @@ def w_class_pure(theta: float, phi: float) -> Ket:
     """Three-qubit W-class pure state cos(t)cos(f)|001> + cos(t)sin(f)|010> + sin(t)|100>."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"W-class angles must be finite, got ({theta!r}, {phi!r})")
-    amp = np.zeros(8, dtype=complex)
-    amp[1] = np.cos(theta) * np.cos(phi)
-    amp[2] = np.cos(theta) * np.sin(phi)
-    amp[4] = np.sin(theta)
-    return Ket._trusted(amp)
+    return Ket._trusted(_w_amplitudes(theta, phi))
+
+
+def _w_amplitudes(theta, phi) -> np.ndarray:
+    """w_class_pure's amplitudes, (..., 8) for like-shaped angle arrays."""
+    a1, a2, a4 = np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), np.sin(theta)
+    amp = np.zeros(a1.shape + (8,), dtype=complex)
+    amp[..., 1], amp[..., 2], amp[..., 4] = a1, a2, a4
+    return amp
 
 
 def ghz_class_pure(theta: float) -> Ket:
     """Three-qubit GHZ-class pure state cos(t)|000> + sin(t)|111>."""
     if not math.isfinite(theta):
         raise ValueError(f"GHZ-class angle must be finite, got {theta!r}")
-    amp = np.zeros(8, dtype=complex)
-    amp[0] = np.cos(theta)
-    amp[7] = np.sin(theta)
-    return Ket._trusted(amp)
+    return Ket._trusted(_ghz_amplitudes(theta))
+
+
+def _ghz_amplitudes(theta) -> np.ndarray:
+    """ghz_class_pure's amplitudes, (..., 8) for an angle array."""
+    a0, a7 = np.cos(theta), np.sin(theta)
+    amp = np.zeros(a0.shape + (8,), dtype=complex)
+    amp[..., 0], amp[..., 7] = a0, a7
+    return amp
 
 
 def w_state() -> Ket:
@@ -252,7 +266,12 @@ def pure_density(ket: Ket) -> DensityMatrix:
     v = ket.amplitudes
     if v.shape[0] not in (2, 8):
         raise DimensionMismatchError(f"density matrix must be 2x2 or 8x8, got a {v.shape[0]}-dim ket")
-    return DensityMatrix._trusted(_require_unit_trace(np.outer(v, v.conj())))
+    return DensityMatrix._trusted(_projectors(v))
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """np.outer(v, v.conj()) for each ket v of a (..., d) stack; a trace off 1 by more than TRACE_TOL raises."""
+    return _require_unit_trace(amps[..., :, None] * amps.conj()[..., None, :])
 
 
 def werner_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -260,8 +279,12 @@ def werner_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRangeError(f"mixing weight p={p!r} outside [0, 1]")
-    d = rho.dim
-    return DensityMatrix._trusted((p / d) * np.eye(d) + (1.0 - p) * rho.matrix)
+    return DensityMatrix._trusted(_werner_matrix(rho.matrix, p))
+
+
+def _werner_matrix(m: np.ndarray, p) -> np.ndarray:
+    """(p / d) I + (1 - p) m, for a float p or a (..., 1, 1) array of them."""
+    return (p / m.shape[-1]) * np.eye(m.shape[-1]) + (1.0 - p) * m
 
 
 def product_state(a: DensityMatrix, b: DensityMatrix, c: DensityMatrix) -> DensityMatrix:

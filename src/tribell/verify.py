@@ -30,6 +30,7 @@ from .bell import (
     bell_rel_ent,
     bell_skew,
     evaluate_family,
+    evaluate_family_grid,
     example1_settings,
     example2_settings,
     mabk,
@@ -37,9 +38,8 @@ from .bell import (
     random_settings,
     threshold_bisect,
 )
-from .bell import _l1_terms, _mabk_terms, _rel_ent_terms, _signed_sum
-from .linalg import _kron, psd_sqrt
-from .measures import _skew_from_root
+from .bell import _evaluate_stack
+from .linalg import _kron
 from .states import (
     DensityMatrix,
     Observable,
@@ -205,11 +205,6 @@ def _close(name: str, got: float, want: float, tol: float) -> CheckResult:
     )
 
 
-def _grid_dev(name: str, params, direct, reference, tol: float) -> CheckResult:
-    dev = max(abs(direct(t) - reference(t)) for t in params)
-    return CheckResult(name=name, passed=dev <= tol, detail=f"max |dev| {dev:.3e} over {len(params)} points (tol {tol:.1e})")
-
-
 def _curve(family: Family, kind: FunctionalKind, settings: BellSettings) -> FamilyCurve:
     return FamilyCurve(family=family, kind=kind, settings=settings)
 
@@ -221,16 +216,14 @@ def _ensemble_values(n_states: int = 1000, n_settings: int = 100) -> dict:
     state i use seeds 3i, 3i+1, 3i+2 and settings j uses seed 10000 + j.
     Settings object j builds, checks and evaluates its states as one stack.
     """
-    mabk_v, l1_v, rel_ent_v, skew_v = values = np.empty((4, n_states))
+    values = {kind: np.empty(n_states) for kind in FunctionalKind}
     for j in range(min(n_settings, n_states)):
         s, g = random_settings(10000 + j), slice(j, n_states, n_settings)
         factors = ([random_single_qubit_state(3 * i + k).matrix for k in range(3)] for i in range(n_states)[g])
-        rhos = _checked_density(np.array([_kron(_kron(a, b), c) for a, b, c in factors]))[:, None]
-        mabk_v[g] = abs(_signed_sum(*_mabk_terms(rhos, s.mabk_operators).T))
-        l1_v[g] = _signed_sum(*_l1_terms(rhos, s.term_unitaries).T)
-        rel_ent_v[g] = _signed_sum(*_rel_ent_terms(rhos, s.term_unitaries, np.linalg.eigvalsh(rhos)).T)
-        skew_v[g] = _signed_sum(*_skew_from_root(psd_sqrt(rhos), s.collective_observables).T)
-    return dict(zip(FunctionalKind, values))
+        rhos = _checked_density(np.array([_kron(_kron(a, b), c) for a, b, c in factors]))
+        for kind, v in values.items():
+            v[g] = _evaluate_stack(kind, rhos, s)
+    return values
 
 
 def _ensemble_margins(n_states: int = 1000, n_settings: int = 100):
@@ -246,10 +239,8 @@ def checks(ensemble_states: int = 1000) -> list[CheckResult]:
     rho_ghz = pure_density(ghz_state())
     rows: list[CheckResult] = []
 
-    rows.append(_close("product bound (mabk) = 2", product_bound(FunctionalKind.MABK), 2.0, 0.0))
-    rows.append(_close("product bound (l1) = 14", product_bound(FunctionalKind.L1), 14.0, 0.0))
-    rows.append(_close("product bound (rel-ent) = 6", product_bound(FunctionalKind.REL_ENT), 6.0, 0.0))
-    rows.append(_close("product bound (skew) = 6", product_bound(FunctionalKind.SKEW), 6.0, 0.0))
+    for kind, bound in zip(FunctionalKind, (2.0, 14.0, 6.0, 6.0)):
+        rows.append(_close(f"product bound ({kind.value}) = {bound:g}", product_bound(kind), bound, 0.0))
 
     rows.append(_close("W state l1, axis settings = (25+16*sqrt2)/3", bell_l1(rho_w, ex1), W_L1_AXIS, 1e-9))
     rows.append(_close("W state rel-ent, axis settings = 10/3 + 2*log2(3)", bell_rel_ent(rho_w, ex1), W_REL_ENT_AXIS, 1e-9))
@@ -271,110 +262,64 @@ def checks(ensemble_states: int = 1000) -> list[CheckResult]:
     rows.append(_close("mabk: GHZ with y/x settings = 4", mabk(rho_ghz, yx), 4.0, 1e-9))
     rows.append(_close("mabk: maximally mixed state = 0", mabk(mixed, ex1), 0.0, 1e-9))
 
-    rows.append(_close(
-        "threshold: w-werner l1 crosses at p = (16*sqrt2-17)/(25+16*sqrt2)",
-        threshold_bisect(_curve(Family.W_WERNER, FunctionalKind.L1, ex1), (0.0, 1.0)),
-        W_WERNER_L1_PSTAR, 1e-6,
-    ))
-    rows.append(_close(
-        "threshold: ghz-werner l1 crosses at p = 0.3",
-        threshold_bisect(_curve(Family.GHZ_WERNER, FunctionalKind.L1, ex1), (0.0, 1.0)),
-        GHZ_WERNER_L1_PSTAR, 1e-6,
-    ))
-    rows.append(_close(
-        "threshold: w-werner skew crosses at p = (11-sqrt57)/20, axis settings",
-        threshold_bisect(_curve(Family.W_WERNER, FunctionalKind.SKEW, ex1), (0.0, 1.0)),
-        W_WERNER_SKEW_PSTAR, 1e-6,
-    ))
-    rows.append(_close(
-        "threshold: ghz-werner skew crosses at p = (5-sqrt3)/11, rotated settings",
-        threshold_bisect(_curve(Family.GHZ_WERNER, FunctionalKind.SKEW, ex2), (0.0, 1.0)),
-        GHZ_WERNER_SKEW_PSTAR, 1e-6,
-    ))
-    rows.append(_close(
-        "threshold: ghz-pure l1 crosses at theta = arcsin(5/11)/2",
-        threshold_bisect(_curve(Family.GHZ_PURE, FunctionalKind.L1, ex1), (0.05, math.pi / 4.0)),
-        GHZ_PURE_L1_THETA_STAR, 1e-6,
-    ))
-    rows.append(_close(
-        "true crossing: w-werner rel-ent falls through 6 near p = 0.02602",
-        threshold_bisect(_curve(Family.W_WERNER, FunctionalKind.REL_ENT, ex1), (0.0, 1.0)),
-        W_WERNER_REL_ENT_PSTAR, 1e-6,
-    ))
-    rows.append(_close(
-        "true crossing: ghz-werner rel-ent falls through 6 near p = 0.11027",
-        threshold_bisect(_curve(Family.GHZ_WERNER, FunctionalKind.REL_ENT, ex1), (0.0, 1.0)),
-        GHZ_WERNER_REL_ENT_PSTAR, 1e-6,
-    ))
-
-    w_rel = _curve(Family.W_PURE, FunctionalKind.REL_ENT, ex1)
-    w_grid_min = min(
-        evaluate_family(w_rel, (k * math.pi / 51.0, 2.0 * math.pi * m / 51.0))
-        for k in range(1, 51)
-        for m in range(1, 51)
+    l1, rel_ent, skew = FunctionalKind.L1, FunctionalKind.REL_ENT, FunctionalKind.SKEW
+    # (name, curve, bracket, crossing): threshold_bisect's product-bound crossing within 1e-6 of crossing.
+    crossings = (
+        ("threshold: w-werner l1 crosses at p = (16*sqrt2-17)/(25+16*sqrt2)",
+         _curve(Family.W_WERNER, l1, ex1), (0.0, 1.0), W_WERNER_L1_PSTAR),
+        ("threshold: ghz-werner l1 crosses at p = 0.3", _curve(Family.GHZ_WERNER, l1, ex1), (0.0, 1.0), GHZ_WERNER_L1_PSTAR),
+        ("threshold: w-werner skew crosses at p = (11-sqrt57)/20, axis settings",
+         _curve(Family.W_WERNER, skew, ex1), (0.0, 1.0), W_WERNER_SKEW_PSTAR),
+        ("threshold: ghz-werner skew crosses at p = (5-sqrt3)/11, rotated settings",
+         _curve(Family.GHZ_WERNER, skew, ex2), (0.0, 1.0), GHZ_WERNER_SKEW_PSTAR),
+        ("threshold: ghz-pure l1 crosses at theta = arcsin(5/11)/2",
+         _curve(Family.GHZ_PURE, l1, ex1), (0.05, math.pi / 4.0), GHZ_PURE_L1_THETA_STAR),
+        ("true crossing: w-werner rel-ent falls through 6 near p = 0.02602",
+         _curve(Family.W_WERNER, rel_ent, ex1), (0.0, 1.0), W_WERNER_REL_ENT_PSTAR),
+        ("true crossing: ghz-werner rel-ent falls through 6 near p = 0.11027",
+         _curve(Family.GHZ_WERNER, rel_ent, ex1), (0.0, 1.0), GHZ_WERNER_REL_ENT_PSTAR),
     )
-    rows.append(CheckResult(
-        "witness: w-pure rel-ent > 6 on interior 50x50 grid",
-        w_grid_min > 6.0,
-        f"grid minimum {w_grid_min!r}",
-    ))
-    ghz_rel = _curve(Family.GHZ_PURE, FunctionalKind.REL_ENT, ex1)
-    ghz_grid_min = min(evaluate_family(ghz_rel, k * math.pi / 101.0) for k in range(1, 101))
-    rows.append(CheckResult(
-        "witness: ghz-pure rel-ent > 6 on interior 100-point grid",
-        ghz_grid_min > 6.0,
-        f"grid minimum {ghz_grid_min!r}",
-    ))
+    for name, curve, bracket, crossing in crossings:
+        rows.append(_close(name, threshold_bisect(curve, bracket), crossing, 1e-6))
 
     thetas = [k * math.pi / 101.0 for k in range(1, 101)]
     ps = [k / 100.0 for k in range(1, 100)]
-    ghz_l1 = _curve(Family.GHZ_PURE, FunctionalKind.L1, ex1)
-    rows.append(_grid_dev(
-        "closed form: ghz-pure l1 = 9 + 11|sin 2theta|",
-        thetas, lambda t: evaluate_family(ghz_l1, t), ghz_pure_l1_curve, 1e-9,
-    ))
-    rows.append(_grid_dev(
-        "closed form: ghz-pure rel-ent = 6 + 2h(cos^2 theta)",
-        thetas, lambda t: evaluate_family(ghz_rel, t), ghz_pure_rel_ent_curve, 1e-9,
-    ))
-    ghz_skew = _curve(Family.GHZ_PURE, FunctionalKind.SKEW, ex2)
-    rows.append(_grid_dev(
-        "closed form: ghz-pure skew = 6 + sqrt3 - (4+sqrt3)cos 4theta, rotated settings",
-        thetas, lambda t: evaluate_family(ghz_skew, t), ghz_pure_skew_curve, 1e-9,
-    ))
-    wl1 = _curve(Family.W_WERNER, FunctionalKind.L1, ex1)
-    rows.append(_grid_dev(
-        "closed form: w-werner l1 = (1-p)(25+16*sqrt2)/3",
-        ps, lambda p: evaluate_family(wl1, p), w_werner_l1_curve, 1e-9,
-    ))
-    gl1 = _curve(Family.GHZ_WERNER, FunctionalKind.L1, ex1)
-    rows.append(_grid_dev(
-        "closed form: ghz-werner l1 = 20(1-p)",
-        ps, lambda p: evaluate_family(gl1, p), ghz_werner_l1_curve, 1e-9,
-    ))
-    wskew = _curve(Family.W_WERNER, FunctionalKind.SKEW, ex1)
-    rows.append(_grid_dev(
-        "closed form: w-werner skew = 10(1 - 3p/4 - sqrt(8p-7p^2)/4), axis settings",
-        ps, lambda p: evaluate_family(wskew, p), w_werner_skew_curve, 1e-9,
-    ))
-    gskew = _curve(Family.GHZ_WERNER, FunctionalKind.SKEW, ex2)
-    rows.append(_grid_dev(
-        "closed form: ghz-werner skew = (10+2*sqrt3)(1 - 3p/4 - sqrt(8p-7p^2)/4), rotated settings",
-        ps, lambda p: evaluate_family(gskew, p), ghz_werner_skew_curve, 1e-9,
-    ))
-    wrel = _curve(Family.W_WERNER, FunctionalKind.REL_ENT, ex1)
-    rows.append(_grid_dev(
-        "corrected identity: w-werner rel-ent = reported form - 2 * state entropy",
-        ps, lambda p: evaluate_family(wrel, p), w_werner_rel_ent_corrected, 1e-9,
-    ))
-    grel = _curve(Family.GHZ_WERNER, FunctionalKind.REL_ENT, ex1)
-    rows.append(_grid_dev(
-        "corrected identity: ghz-werner rel-ent = reported form - 2 * state entropy",
-        ps, lambda p: evaluate_family(grel, p), ghz_werner_rel_ent_corrected, 1e-9,
-    ))
+    w_grid = [(k * math.pi / 51.0, 2.0 * math.pi * m / 51.0) for k in range(1, 51) for m in range(1, 51)]
+    # (name, curve, points, reference, tol): a witness row (no reference) asks for a grid minimum
+    # above the product bound, a closed-form row for max |value - reference(point)| <= tol.
+    grids = (
+        ("witness: w-pure rel-ent > 6 on interior 50x50 grid", _curve(Family.W_PURE, rel_ent, ex1), w_grid, None, None),
+        ("witness: ghz-pure rel-ent > 6 on interior 100-point grid",
+         _curve(Family.GHZ_PURE, rel_ent, ex1), thetas, None, None),
+        ("closed form: ghz-pure l1 = 9 + 11|sin 2theta|",
+         _curve(Family.GHZ_PURE, l1, ex1), thetas, ghz_pure_l1_curve, 1e-9),
+        ("closed form: ghz-pure rel-ent = 6 + 2h(cos^2 theta)",
+         _curve(Family.GHZ_PURE, rel_ent, ex1), thetas, ghz_pure_rel_ent_curve, 1e-9),
+        ("closed form: ghz-pure skew = 6 + sqrt3 - (4+sqrt3)cos 4theta, rotated settings",
+         _curve(Family.GHZ_PURE, skew, ex2), thetas, ghz_pure_skew_curve, 1e-9),
+        ("closed form: w-werner l1 = (1-p)(25+16*sqrt2)/3",
+         _curve(Family.W_WERNER, l1, ex1), ps, w_werner_l1_curve, 1e-9),
+        ("closed form: ghz-werner l1 = 20(1-p)", _curve(Family.GHZ_WERNER, l1, ex1), ps, ghz_werner_l1_curve, 1e-9),
+        ("closed form: w-werner skew = 10(1 - 3p/4 - sqrt(8p-7p^2)/4), axis settings",
+         _curve(Family.W_WERNER, skew, ex1), ps, w_werner_skew_curve, 1e-9),
+        ("closed form: ghz-werner skew = (10+2*sqrt3)(1 - 3p/4 - sqrt(8p-7p^2)/4), rotated settings",
+         _curve(Family.GHZ_WERNER, skew, ex2), ps, ghz_werner_skew_curve, 1e-9),
+        ("corrected identity: w-werner rel-ent = reported form - 2 * state entropy",
+         _curve(Family.W_WERNER, rel_ent, ex1), ps, w_werner_rel_ent_corrected, 1e-9),
+        ("corrected identity: ghz-werner rel-ent = reported form - 2 * state entropy",
+         _curve(Family.GHZ_WERNER, rel_ent, ex1), ps, ghz_werner_rel_ent_corrected, 1e-9),
+    )
+    for name, curve, points, reference, tol in grids:
+        values = evaluate_family_grid(curve, points).tolist()
+        if reference is None:
+            low = min(values)
+            rows.append(CheckResult(name, low > product_bound(curve.kind), f"grid minimum {low!r}"))
+        else:
+            dev = max(abs(v - reference(t)) for t, v in zip(points, values))
+            rows.append(CheckResult(name, dev <= tol, f"max |dev| {dev:.3e} over {len(points)} points (tol {tol:.1e})"))
     rows.append(_close(
         "spot value: ghz-werner rel-ent at p = 0.5",
-        evaluate_family(grel, 0.5), GHZ_WERNER_REL_ENT_AT_HALF, 1e-9,
+        evaluate_family(_curve(Family.GHZ_WERNER, rel_ent, ex1), 0.5), GHZ_WERNER_REL_ENT_AT_HALF, 1e-9,
     ))
 
     worst = _ensemble_margins(n_states=ensemble_states)

@@ -29,6 +29,7 @@ from tribell import (
     ghz_state,
     l1_coherence,
     mabk,
+    optimize,
     optimize_settings,
     pauli,
     product_basis,
@@ -365,6 +366,38 @@ def test_optimizer_mabk_and_skew_searches_never_eigensolve(rho_ghz, rho_w, monke
     optimize_settings(rho_ghz, FunctionalKind.MABK, restarts=1, iterations=20, seed=0)
     optimize_settings(rho_w, FunctionalKind.SKEW, restarts=1, iterations=20, seed=0)
     assert len(calls) == 0
+
+
+def test_optimizer_step_floor_decides_a_ghz_l1_search(rho_ghz):
+    """1 restart x 200 from seed 0 reaches 19.999999984; a step floor of 1e-6 instead of 1e-9 stops at 19.9999976."""
+    _, value = optimize_settings(rho_ghz, FunctionalKind.L1, restarts=1, iterations=200, seed=0)
+    assert value >= 20.0 - 1e-7
+
+
+@pytest.mark.parametrize("kind", list(FunctionalKind))
+def test_optimize_result_reproduces_its_value(kind, rho_w):
+    result = optimize(rho_w, kind, restarts=2, iterations=10, seed=6)
+    assert len(result.angles) == 12 and all(type(a) is float for a in result.angles)
+    rebuilt = settings_from_angles(result.angles)
+    for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2"):
+        assert getattr(rebuilt, name).matrix.tobytes() == getattr(result.settings, name).matrix.tobytes()
+    assert evaluate(kind, rho_w, result.settings) == result.value
+    assert result.evaluations > 2 * 12
+    settings, value = optimize_settings(rho_w, kind, restarts=2, iterations=10, seed=6)
+    assert value == result.value
+    assert settings.m_c2.matrix.tobytes() == result.settings.m_c2.matrix.tobytes()
+
+
+def test_optimize_counts_every_objective_call(rho_ghz, monkeypatch):
+    calls = []
+    ascent = bell_module._coordinate_ascent
+
+    def counted_ascent(objective, *args, **kwargs):
+        return ascent(lambda x: calls.append(1) or objective(x), *args, **kwargs)
+
+    monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
+    result = optimize(rho_ghz, FunctionalKind.MABK, restarts=3, iterations=15, seed=2)
+    assert result.evaluations == len(calls) > 0
 
 
 def test_optimizer_argument_validation(rho_ghz):

@@ -315,3 +315,24 @@ def test_violation_flag_sits_at_the_margin(capsys, monkeypatch, excess, violated
     code, out, _ = run_cli(capsys, "scan", "--state", "w-werner", "--kind", "l1", "--grid", "3", "--format", "json")
     assert code == 0
     assert [row["violated"] for row in json.loads(out)["rows"]] == [violated] * 3
+
+
+@pytest.mark.parametrize(
+    "state, kind, budget",
+    [
+        ("ghz", "mabk", ["--restarts", "1", "--iterations", "30", "--seed", "1"]),
+        ("ghz", "l1", ["--restarts", "2", "--iterations", "40", "--seed", "0"]),
+        ("w-werner:0.05", "rel-ent", ["--restarts", "1", "--iterations", "30", "--seed", "2"]),
+        ("w", "skew", ["--restarts", "1", "--iterations", "40", "--seed", "3"]),
+        ("ghz", "l1", ["--seed", "0"]),  # the default budget, whose old recovered angles missed by 1.29e-9
+    ],
+)
+def test_optimize_prints_angles_that_reproduce_its_value(capsys, state, kind, budget):
+    code, out, _ = run_cli(capsys, "optimize", "--state", state, "--kind", kind, *budget)
+    assert code == 0
+    found = json.loads(out)
+    assert len(found["angles"]) == 12
+    settings = "angles:" + ",".join(repr(a) for a in found["angles"])
+    code, out, _ = run_cli(capsys, "eval", "--state", state, "--settings", settings, "--kind", kind)
+    assert code == 0
+    assert json.loads(out)["value"] == found["value"]
