@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from tribell.bell import FunctionalKind, bell_skew, example1_settings, optimize_settings
+from tribell.bell import FunctionalKind, bell_skew, example1_settings, optimize
 from tribell.states import ghz_state, pure_density, w_state
 
 CASES = [
@@ -24,7 +24,7 @@ CASES = [
 def run(restarts: int, iterations: int, seed: int) -> None:
     for label, rho, kind in CASES:
         start = time.perf_counter()
-        _, value = optimize_settings(rho, kind, restarts=restarts, iterations=iterations, seed=seed)
+        value = optimize(rho, kind, restarts=restarts, iterations=iterations, seed=seed).value
         elapsed = time.perf_counter() - start
         print(f"{label}: best value {value:.12f}  ({elapsed:.1f} s)")
     axis = bell_skew(pure_density(w_state()), example1_settings())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare every number two source trees of tribell produce.
 
-    python3 scripts/value_diff.py OLD_TREE NEW_TREE [--workdir DIR] [--tol X]
+    python3 scripts/value_diff.py OLD_TREE NEW_TREE [--workdir DIR]
 
 Each tree is a checkout of the repository, for example the parent
 commit extracted with ``git worktree add`` or ``git archive``.  For each
@@ -14,9 +14,8 @@ numbers must match exactly.
 
 Per output it prints the count of numbers, the largest absolute
 difference and the largest distance in units in the last place (ulp).
-By default an output passes only if it is identical.  With ``--tol X``
-it passes when its text matches and every paired number is within X.
-Exit status 0 means every output passes, 1 that something differs.
+Exit status 0 means every output is identical, 1 that something
+differs.
 """
 
 from __future__ import annotations
@@ -101,8 +100,7 @@ def compare(old: str, new: str) -> tuple[int, float, int] | None:
     for a, b in pairs:
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
-        diff = abs(a - b)
-        max_abs = max(max_abs, math.inf if math.isnan(diff) else diff)  # a NaN against a number never passes
+        max_abs = max(max_abs, abs(a - b))
         max_ulp = max(max_ulp, abs(_ordered(a) - _ordered(b)))
     return len(pairs), max_abs, max_ulp
 
@@ -112,7 +110,6 @@ def main() -> int:
     parser.add_argument("old", type=Path, help="reference tree")
     parser.add_argument("new", type=Path, help="tree under test")
     parser.add_argument("--workdir", type=Path, help="where outputs go (default: a temporary directory)")
-    parser.add_argument("--tol", type=float, help="largest absolute difference allowed per number (default: none)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         work = args.workdir or Path(tmp)
@@ -131,8 +128,7 @@ def main() -> int:
             result, same = "text differs", False
         else:
             count, max_abs, max_ulp = found
-            same = max_ulp == 0 if args.tol is None else max_abs <= args.tol
-            result = f"{count:8d} {max_abs:10.3g} {max_ulp:8d}"
+            result, same = f"{count:8d} {max_abs:10.3g} {max_ulp:8d}", max_ulp == 0
         if not same:
             differs.append(name)
         print(f"{name:34} {result}")

@@ -193,24 +193,34 @@ def _signed_sum(t0, t1, t2, t3):
     return 0.0 + t0 + t1 + t2 - t3
 
 
+# Each kind's arithmetic, written once, on valid states (..., 8, 8): one (8, 8) state gives a numpy
+# scalar, an (N, 1, 8, 8) stack (N,) values with the same bits.
+_VALUES = {
+    FunctionalKind.MABK: lambda rhos, s: abs(_signed_sum(*_mabk_terms(rhos, s.mabk_operators).T)),
+    FunctionalKind.L1: lambda rhos, s: _signed_sum(*_l1_terms(rhos, s.term_unitaries).T),
+    FunctionalKind.REL_ENT: lambda rhos, s: _signed_sum(*_rel_ent_terms(rhos, s.term_unitaries, np.linalg.eigvalsh(rhos)).T),
+    FunctionalKind.SKEW: lambda rhos, s: _signed_sum(*_skew_from_root(psd_sqrt(rhos), s.collective_observables).T),
+}
+
+
 def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
     """Absolute value of the signed combination of product correlators."""
-    return float(abs(_signed_sum(*_mabk_terms(rho.matrix, settings.mabk_operators))))
+    return float(_VALUES[FunctionalKind.MABK](rho.matrix, settings))
 
 
 def bell_l1(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of l1 coherences in the term product bases."""
-    return float(_signed_sum(*_l1_terms(rho.matrix, settings.term_unitaries)))
+    return float(_VALUES[FunctionalKind.L1](rho.matrix, settings))
 
 
 def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of relative-entropy coherences in the term bases."""
-    return float(_signed_sum(*_rel_ent_terms(rho.matrix, settings.term_unitaries, np.linalg.eigvalsh(rho.matrix))))
+    return float(_VALUES[FunctionalKind.REL_ENT](rho.matrix, settings))
 
 
 def bell_skew(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of skew informations of collective observables."""
-    return float(_signed_sum(*_skew_from_root(rho.root, settings.collective_observables)))
+    return float(_VALUES[FunctionalKind.SKEW](rho.matrix, settings))
 
 
 _EVALUATORS = {
@@ -228,16 +238,7 @@ def evaluate(kind: FunctionalKind, rho: DensityMatrix, settings: BellSettings) -
 
 def _evaluate_stack(kind: FunctionalKind, rhos: np.ndarray, settings: BellSettings) -> np.ndarray:
     """evaluate on each state of a valid (N, 8, 8) stack, as (N,) values with the same bits, in one kernel call."""
-    rhos = rhos[:, None]
-    if kind is FunctionalKind.MABK:
-        return abs(_signed_sum(*_mabk_terms(rhos, settings.mabk_operators).T))
-    if kind is FunctionalKind.L1:
-        terms = _l1_terms(rhos, settings.term_unitaries)
-    elif kind is FunctionalKind.REL_ENT:
-        terms = _rel_ent_terms(rhos, settings.term_unitaries, np.linalg.eigvalsh(rhos))
-    else:
-        terms = _skew_from_root(psd_sqrt(rhos), settings.collective_observables)
-    return _signed_sum(*terms.T)
+    return _VALUES[kind](rhos[:, None], settings)
 
 
 class Family(Enum):
@@ -259,7 +260,8 @@ def family_param_count(family: Family) -> int:
     return len(FAMILY_DOMAINS[family])
 
 
-def _check_point(family: Family, params: tuple[float, ...]) -> None:
+def _check_point(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
+    """params, if they are a point of the family's domain."""
     domain = FAMILY_DOMAINS[family]
     if len(params) != len(domain):
         raise ParameterOutOfRangeError(
@@ -270,6 +272,7 @@ def _check_point(family: Family, params: tuple[float, ...]) -> None:
             raise ParameterOutOfRangeError(
                 f"parameter {value!r} outside [{lo:.6g}, {hi:.6g}] for family {family.value}"
             )
+    return params
 
 
 def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
@@ -283,10 +286,7 @@ def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
 
 
 def family_states(family: Family, points: np.ndarray) -> np.ndarray:
-    """family_state's matrices at an (N, k) array of points, as one (N, 8, 8) stack with the same bits.
-
-    The first point outside the domain raises family_state's error.
-    """
+    """family_state at (N, k) points as one (N, 8, 8) stack, with its bits and its error at the first bad point."""
     domain = np.array(FAMILY_DOMAINS[family])
     inside = points.shape[1] == len(domain) and ((domain[:, 0] <= points) & (points <= domain[:, 1])).all(axis=1)
     if not np.all(inside):
@@ -315,10 +315,13 @@ class FamilyCurve:
     settings: BellSettings
 
 
+def _point(params) -> tuple[float, ...]:
+    return (float(params),) if np.isscalar(params) else tuple(float(v) for v in params)
+
+
 def evaluate_family(curve: FamilyCurve, params) -> float:
     """Evaluate the curve at a parameter point (scalar or tuple)."""
-    point = (float(params),) if np.isscalar(params) else tuple(float(v) for v in params)
-    return evaluate(curve.kind, family_state(curve.family, point), curve.settings)
+    return evaluate(curve.kind, family_state(curve.family, _point(params)), curve.settings)
 
 
 GRID_CHUNK = 128  # states per kernel call in evaluate_family_grid
@@ -329,7 +332,10 @@ def evaluate_family_grid(curve: FamilyCurve, points) -> np.ndarray:
 
     Members are built and evaluated GRID_CHUNK at a time, one kernel call per chunk.
     """
-    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    try:
+        points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    except ValueError:  # no points, or ragged ones: the first that evaluate_family refuses raises its error
+        points = np.array([_check_point(curve.family, _point(p)) for p in points])
     values = np.empty(len(points))
     for start in range(0, len(points), GRID_CHUNK):
         chunk = slice(start, start + GRID_CHUNK)
@@ -445,12 +451,11 @@ def _coordinate_ascent(objective, start, iterations: int, step0: float, floor: f
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """A search's best settings, the 12 angles they are built from, their value, and its objective calls."""
+    """A search's best settings, the 12 angles they are built from, and their value."""
 
     settings: BellSettings
     angles: tuple[float, ...]
     value: float
-    evaluations: int
 
 
 def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterations: int = 200,
@@ -484,11 +489,7 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
     def term(*pairs: tuple[float, float]) -> float:
         return float(term_value(*zip(*(party(*pair) for pair in pairs))))
 
-    evaluations = 0  # objective calls
-
     def objective(angles: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
         pairs = [(float(angles[2 * n]), float(angles[2 * n + 1])) for n in range(6)]
         total = _signed_sum(*[term(pairs[i - 1], pairs[j + 1], pairs[k + 3]) for i, j, k in TERMS])
         return abs(total) if kind is FunctionalKind.MABK else total
@@ -507,7 +508,7 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
         if value > best_value:
             best_angles, best_value = angles, value
     angles = tuple(float(v) for v in best_angles)
-    return OptimizeResult(settings_from_angles(angles), angles, best_value, evaluations)
+    return OptimizeResult(settings_from_angles(angles), angles, best_value)
 
 
 def optimize_settings(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterations: int = 200,

@@ -382,22 +382,9 @@ def test_optimize_result_reproduces_its_value(kind, rho_w):
     for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2"):
         assert getattr(rebuilt, name).matrix.tobytes() == getattr(result.settings, name).matrix.tobytes()
     assert evaluate(kind, rho_w, result.settings) == result.value
-    assert result.evaluations > 2 * 12
     settings, value = optimize_settings(rho_w, kind, restarts=2, iterations=10, seed=6)
     assert value == result.value
     assert settings.m_c2.matrix.tobytes() == result.settings.m_c2.matrix.tobytes()
-
-
-def test_optimize_counts_every_objective_call(rho_ghz, monkeypatch):
-    calls = []
-    ascent = bell_module._coordinate_ascent
-
-    def counted_ascent(objective, *args, **kwargs):
-        return ascent(lambda x: calls.append(1) or objective(x), *args, **kwargs)
-
-    monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
-    result = optimize(rho_ghz, FunctionalKind.MABK, restarts=3, iterations=15, seed=2)
-    assert result.evaluations == len(calls) > 0
 
 
 def test_optimizer_argument_validation(rho_ghz):

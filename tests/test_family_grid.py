@@ -106,6 +106,29 @@ def test_grid_rejects_the_wrong_number_of_parameters(family, width):
     assert str(grid.value) == message
 
 
+def test_grid_of_zero_points_is_empty():
+    curve = FamilyCurve(Family.W_PURE, FunctionalKind.REL_ENT, example1_settings())
+    for points in ([], np.empty((0, 2))):
+        values = evaluate_family_grid(curve, points)
+        assert values.shape == (0,) and values.dtype == float
+
+
+def test_grid_of_mixed_length_points_reads_each_as_evaluate_family_does():
+    """A ragged list raises the scalar error of its first bad point; scalars and 1-tuples mix on one-parameter curves."""
+    curve = FamilyCurve(Family.W_PURE, FunctionalKind.L1, example1_settings())
+    for points, bad in (([(0.1, 0.2), (0.3,), (0.4, 0.5, 0.6)], (0.3,)), ([(0.1, 0.2), 0.3], (0.3,))):
+        message = _scalar_error(Family.W_PURE, bad)
+        with pytest.raises(ParameterOutOfRangeError) as grid:
+            evaluate_family_grid(curve, points)
+        assert str(grid.value) == message
+    ghz = FamilyCurve(Family.GHZ_WERNER, FunctionalKind.REL_ENT, example2_settings())
+    mixed = [0.25, (0.5,), [0.75]]
+    assert evaluate_family_grid(ghz, mixed).tolist() == [evaluate_family(ghz, p) for p in mixed]
+    with pytest.raises(ParameterOutOfRangeError) as grid:
+        evaluate_family_grid(ghz, [0.25, (0.5, 0.5)])
+    assert str(grid.value) == _scalar_error(Family.GHZ_WERNER, (0.5, 0.5))
+
+
 def test_verify_grid_rows_make_one_grid_call_each(monkeypatch):
     """The eleven witness and closed-form rows each evaluate their whole grid in one call."""
     calls = []
