@@ -53,9 +53,10 @@ COMMANDS = [
                          "--restarts", "2", "--iterations", "60", "--seed", "3"]),
     ("optimize-w-werner-rel-ent", ["optimize", "--state", "w-werner:0.05", "--kind", "rel-ent",
                                    "--restarts", "1", "--iterations", "30", "--seed", "2"]),
-    # The perfbench optimize searches at seed 0 and full budget: long enough
-    # for the optimizer's bounded probe caches to evict.
+    # The perfbench optimize searches at seed 0 and full budget, and W/l1 at
+    # the default budget: long searches with many walks and step halvings.
     ("optimize-ghz-l1-full", ["optimize", "--state", "ghz", "--kind", "l1", "--seed", "0"]),
+    ("optimize-w-l1-full", ["optimize", "--state", "w", "--kind", "l1", "--seed", "0"]),
     ("optimize-ghz-mabk-full", ["optimize", "--state", "ghz", "--kind", "mabk", "--restarts", "2", "--seed", "0"]),
     ("optimize-w-skew-full", ["optimize", "--state", "w", "--kind", "skew", "--restarts", "2", "--seed", "0"]),
 ]

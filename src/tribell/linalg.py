@@ -65,8 +65,9 @@ def kron(a, b) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unchecked np.kron of two matrices: the same one product per entry, so the same bits."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    """Unchecked np.kron of each pair of matrices in broadcast (..., m, n) stacks: the same one product per entry, so the same bits."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], out.shape[-4] * out.shape[-3], -1)
 
 
 def adjoint(a) -> np.ndarray:

@@ -107,9 +107,6 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def density(self) -> "DensityMatrix":
-        return pure_density(self)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -213,8 +210,13 @@ def bloch_observable(theta: float, phi: float) -> Observable:
     """Dichotomic observable n . sigma for the Bloch direction (theta, phi); angles must be finite."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"Bloch angles must be finite, got ({theta!r}, {phi!r})")
-    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    return Observable._trusted(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    return Observable._trusted(_bloch_matrices(theta, phi))
+
+
+def _bloch_matrices(theta, phi) -> np.ndarray:
+    """n . sigma for Bloch directions (theta, phi), (..., 2, 2) for like-shaped angle arrays."""
+    n = [v[..., None, None] for v in (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))]
+    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
 
 
 def w_class_pure(theta: float, phi: float) -> Ket:
@@ -328,10 +330,15 @@ def product_basis(ma: Observable, mb: Observable, mc: Observable) -> ProductBasi
 
 def collective_observable(x: Observable, y: Observable, z: Observable) -> np.ndarray:
     """Sum of one local observable per party, X (x) I (x) I + I (x) Y (x) I + I (x) I (x) Z."""
+    return _collective_matrices(x.matrix, y.matrix, z.matrix)
+
+
+def _collective_matrices(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """collective_observable of each triple of 2x2 matrices in broadcast (..., 2, 2) stacks."""
     return (
-        _kron(_kron(x.matrix, IDENTITY_2), IDENTITY_2)
-        + _kron(_kron(IDENTITY_2, y.matrix), IDENTITY_2)
-        + _kron(_kron(IDENTITY_2, IDENTITY_2), z.matrix)
+        _kron(_kron(x, IDENTITY_2), IDENTITY_2)
+        + _kron(_kron(IDENTITY_2, y), IDENTITY_2)
+        + _kron(_kron(IDENTITY_2, IDENTITY_2), z)
     )
 
 

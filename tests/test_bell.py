@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from helpers import random_density
+from helpers import random_density, reference_coordinate_ascent
 from tribell import (
     BellSettings,
     DensityMatrix,
@@ -303,8 +303,8 @@ def test_optimizer_never_violates_on_product_states():
 def _plain_search(rho, kind, restarts, iterations, seed):
     """optimize_settings without probe reuse: every probe evaluated from fresh settings."""
 
-    def objective(angles):
-        return evaluate(kind, rho, settings_from_angles(angles))
+    def objective(points):
+        return [evaluate(kind, rho, settings_from_angles(a)) for a in points]
 
     best_angles, best_value = None, -math.inf
     for r in range(restarts):
@@ -332,40 +332,70 @@ def test_optimizer_matches_plain_search_bit_for_bit(kind, rho_w, rho_ghz):
             assert getattr(settings, name).matrix.tobytes() == getattr(ref_settings, name).matrix.tobytes()
 
 
-def test_optimizer_probe_eigensolves_only_the_moved_observable(rho_ghz, monkeypatch):
-    counts = {"objective": 0, "herm_eig": 0}
-    ascent, herm_eig = bell_module._coordinate_ascent, bell_module.herm_eig
+def _tie_heavy(x):
+    """Rounded to 1e-3, so probes often tie the best value."""
+    return round(math.sin(3.0 * x[0]) + math.cos(2.0 * x[1] - x[2]) + 0.5 * math.sin(x[0] * x[3]), 3)
+
+
+def _ramp(x):
+    """A far peak, so walks run on for many steps, past one WALK_BLOCK."""
+    return -sum(abs(v - 7.0 * (n + 1)) for n, v in enumerate(x))
+
+
+def _holey(x):
+    """NaN on part of the space: a NaN probe never improves and a NaN start never moves."""
+    value = math.sin(x[0]) * math.cos(x[1]) + 0.3 * math.sin(x[2] + x[3])
+    return math.nan if math.sin(5.0 * sum(x)) > 0.7 else value
+
+
+@pytest.mark.parametrize("f", [_tie_heavy, _ramp, _holey])
+def test_batched_ascent_takes_the_one_probe_path(f):
+    """bell._coordinate_ascent's lookahead and walk blocks reach the frozen reference's point and value."""
+    assert bell_module.WALK_BLOCK < 3.0 / (math.pi / 8.0)  # _ramp's first walk, from x[0] <= 4 toward 7, outruns a block
+    for seed in range(50):
+        start = np.random.default_rng(seed).uniform(0.0, 4.0, 4)
+        ref_x, ref_best = reference_coordinate_ascent(f, start, 25, step0=math.pi / 8.0, floor=1e-3)
+        x, best = bell_module._coordinate_ascent(
+            lambda points: [f(p) for p in points], start, 25, step0=math.pi / 8.0, floor=1e-3
+        )
+        assert np.asarray(x).tobytes() == ref_x.tobytes()
+        assert best == ref_best or (math.isnan(best) and math.isnan(ref_best))
+
+
+def _count_eigensolves(monkeypatch):
+    """Counts of probe rows the optimizer evaluates and of matrices it eigensolves, summed over stacks."""
+    counts = {"probes": 0, "eigensolved": 0}
+    ascent, herm_eigh = bell_module._coordinate_ascent, bell_module._herm_eigh
 
     def counted_ascent(objective, *args, **kwargs):
-        def counted_objective(x):
-            counts["objective"] += 1
-            return objective(x)
+        def counted_objective(points):
+            counts["probes"] += len(points)
+            return objective(points)
 
         return ascent(counted_objective, *args, **kwargs)
 
-    def counted_herm_eig(*args, **kwargs):
-        counts["herm_eig"] += 1
-        return herm_eig(*args, **kwargs)
+    def counted_herm_eigh(m, *args, **kwargs):
+        counts["eigensolved"] += len(m)
+        return herm_eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
-    monkeypatch.setattr(bell_module, "herm_eig", counted_herm_eig)
+    monkeypatch.setattr(bell_module, "_herm_eigh", counted_herm_eigh)
+    return counts
+
+
+def test_optimizer_probe_eigensolves_only_the_moved_observable(rho_ghz, monkeypatch):
+    counts = _count_eigensolves(monkeypatch)
     optimize_settings(rho_ghz, FunctionalKind.L1, restarts=1, iterations=30, seed=0)
-    assert counts["objective"] > 100
-    assert counts["herm_eig"] <= counts["objective"] + 12
+    assert counts["probes"] > 100
+    assert 0 < counts["eigensolved"] <= counts["probes"] + 12
 
 
 def test_optimizer_mabk_and_skew_searches_never_eigensolve(rho_ghz, rho_w, monkeypatch):
-    calls = []
-    herm_eig = bell_module.herm_eig
-
-    def counted_herm_eig(*args, **kwargs):
-        calls.append(args)
-        return herm_eig(*args, **kwargs)
-
-    monkeypatch.setattr(bell_module, "herm_eig", counted_herm_eig)
+    counts = _count_eigensolves(monkeypatch)
     optimize_settings(rho_ghz, FunctionalKind.MABK, restarts=1, iterations=20, seed=0)
     optimize_settings(rho_w, FunctionalKind.SKEW, restarts=1, iterations=20, seed=0)
-    assert len(calls) == 0
+    assert counts["probes"] > 100
+    assert counts["eigensolved"] == 0
 
 
 def test_optimizer_step_floor_decides_a_ghz_l1_search(rho_ghz):
