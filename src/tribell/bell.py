@@ -411,16 +411,13 @@ def random_settings(seed: int) -> BellSettings:
     return settings_from_angles(angles)
 
 
-WALK_BLOCK = 4  # walk-on probes per objective call in _coordinate_ascent
-
-
 def _coordinate_ascent(objective, start, iterations: int, step0: float, floor: float):
     """Greedy per-coordinate ascent with step halving; objective maps (k, n) points to k values.
 
     A sweep probes +step, then -step, on each coordinate in turn; after a success the search walks on
     while the value improves, which matters near the kinks of the l1 functional.  A call evaluates the
-    rest of the sweep from the current point, or WALK_BLOCK walk steps, and takes the first strict
-    improvement in that order: the path of probing one point at a time.
+    rest of the sweep from the current point, or a walk's next 1, 2, 4, ... steps, and takes the first
+    strict improvement in that order: the path of probing one point at a time.
     """
     x = np.array(start, dtype=float)
     best = objective(x[None])[0]
@@ -437,16 +434,17 @@ def _coordinate_ascent(objective, start, iterations: int, step0: float, floor: f
             if hit is None:
                 break
             i, delta, x, best, improved = cols[hit], deltas[hit], trials[hit], values[hit], True
-            walking = True
+            walking, block = True, 1
             while walking:
-                walk = np.repeat(x[None], WALK_BLOCK, axis=0)
-                for row in range(WALK_BLOCK):
+                walk = np.repeat(x[None], block, axis=0)
+                for row in range(block):
                     walk[row:, i] += delta  # row r holds r + 1 sequential steps, as a one-by-one walk makes them
                 for point, value in zip(walk, objective(walk)):
                     if not value > best:
                         walking = False
                         break
                     x, best = point, value
+                block *= 2
             i += 1
         if not improved:
             step *= 0.5
@@ -474,10 +472,9 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
     """
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
-    # A probe moves one angle: one new party operand (the observable, or its eigenvectors for l1 and
-    # rel-ent) and two new terms.  A restart caches both, keyed on the angles' exact bits, so a hit is
-    # bit-identical to a fresh evaluation (GHZ/l1's restart 0 ends with 2533 operands, 12434 terms).  A
-    # call's new operands are one stack and one eigensolve, its new terms one kernel call, rows bit-exact.
+    # A probe moves one angle: one new party operand (the observable, or its eigenvectors for l1 and rel-ent)
+    # and two new terms.  A restart caches operands by the angles' exact bits and terms by operand rows, so a
+    # hit is bit-identical to a fresh evaluation; a call's new operands take one eigensolve, its new terms one kernel call.
     spectrum = np.linalg.eigvalsh(rho.matrix)
     term_values = {
         FunctionalKind.MABK: lambda a, b, c: _mabk_terms(rho.matrix, _mabk_operator(a, b, c)),
@@ -489,23 +486,26 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
     best_angles, best_value = None, -math.inf
     for r in range(restarts):
         parties: dict[bytes, int] = {}  # (theta, phi)'s 16 bytes -> its row of operands
-        operands = np.empty((0, 2, 2), dtype=complex)
-        terms: dict[tuple[bytes, bytes, bytes], float] = {}
+        operands = np.empty((256, 2, 2), dtype=complex)  # rows past len(parties) unused, doubled when full
+        terms: dict[tuple[int, int, int], float] = {}  # (A, B, C) operand rows -> term value
 
         def objective(points: np.ndarray) -> list[float]:
             nonlocal operands
             rows = points.view("V16").tolist()
-            triples = [pick(pairs) for pairs in rows for pick in TERM_PARTIES]
             new_pairs = list(set().union(*rows).difference(parties))
             if new_pairs:
                 made = _bloch_matrices(*np.frombuffer(b"".join(new_pairs)).reshape(-1, 2).T)
                 if kind in (FunctionalKind.L1, FunctionalKind.REL_ENT):
                     made = _herm_eigh(made, HERMITICITY_TOL)[1]
-                parties.update(zip(new_pairs, range(len(operands), len(operands) + len(made))))
-                operands = np.concatenate([operands, made])
+                if (n := len(parties)) + len(made) > len(operands):
+                    operands = np.concatenate([operands, np.empty((n + len(made), 2, 2), dtype=complex)])
+                operands[n:n + len(made)] = made
+                parties.update(zip(new_pairs, range(n, n + len(made))))
+            indices = [list(map(parties.__getitem__, pairs)) for pairs in rows]
+            triples = [pick(row) for row in indices for pick in TERM_PARTIES]
             new_triples = list(set(triples).difference(terms))
             if new_triples:
-                a, b, c = operands[[[parties[pair] for pair in t] for t in new_triples]].swapaxes(0, 1)
+                a, b, c = operands[np.array(new_triples)].swapaxes(0, 1)
                 terms.update(zip(new_triples, term_values(a, b, c).tolist()))
             values = list(map(terms.__getitem__, triples))
             values = [_signed_sum(*values[q:q + 4]) for q in range(0, len(values), 4)]

@@ -338,7 +338,7 @@ def _tie_heavy(x):
 
 
 def _ramp(x):
-    """A far peak, so walks run on for many steps, past one WALK_BLOCK."""
+    """A far peak, so walks run on for many steps, over several walk blocks."""
     return -sum(abs(v - 7.0 * (n + 1)) for n, v in enumerate(x))
 
 
@@ -351,7 +351,6 @@ def _holey(x):
 @pytest.mark.parametrize("f", [_tie_heavy, _ramp, _holey])
 def test_batched_ascent_takes_the_one_probe_path(f):
     """bell._coordinate_ascent's lookahead and walk blocks reach the frozen reference's point and value."""
-    assert bell_module.WALK_BLOCK < 3.0 / (math.pi / 8.0)  # _ramp's first walk, from x[0] <= 4 toward 7, outruns a block
     for seed in range(50):
         start = np.random.default_rng(seed).uniform(0.0, 4.0, 4)
         ref_x, ref_best = reference_coordinate_ascent(f, start, 25, step0=math.pi / 8.0, floor=1e-3)
@@ -363,9 +362,12 @@ def test_batched_ascent_takes_the_one_probe_path(f):
 
 
 def _count_eigensolves(monkeypatch):
-    """Counts of probe rows the optimizer evaluates and of matrices it eigensolves, summed over stacks."""
+    """Counts of probe rows the optimizer evaluates and of matrices it eigensolves.
+
+    Both eigensolver routes count: bell.herm_eig one matrix per call, bell._herm_eigh its stack size.
+    """
     counts = {"probes": 0, "eigensolved": 0}
-    ascent, herm_eigh = bell_module._coordinate_ascent, bell_module._herm_eigh
+    ascent, eig, herm_eigh = bell_module._coordinate_ascent, bell_module.herm_eig, bell_module._herm_eigh
 
     def counted_ascent(objective, *args, **kwargs):
         def counted_objective(points):
@@ -374,11 +376,16 @@ def _count_eigensolves(monkeypatch):
 
         return ascent(counted_objective, *args, **kwargs)
 
+    def counted_eig(m, *args, **kwargs):
+        counts["eigensolved"] += 1
+        return eig(m, *args, **kwargs)
+
     def counted_herm_eigh(m, *args, **kwargs):
         counts["eigensolved"] += len(m)
         return herm_eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
+    monkeypatch.setattr(bell_module, "herm_eig", counted_eig)
     monkeypatch.setattr(bell_module, "_herm_eigh", counted_herm_eigh)
     return counts
 
