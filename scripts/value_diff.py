@@ -7,7 +7,9 @@ Each tree is a checkout of the repository, for example the parent
 commit extracted with ``git worktree add`` or ``git archive``.  For each
 tree, with ``PYTHONPATH=<tree>/src``, the script runs that tree's
 ``scripts/run_scans.py``, ``tribell verify`` and a fixed list of
-``eval``, ``threshold`` and ``optimize`` commands.  It then pairs the
+``eval``, ``threshold`` and ``optimize`` commands, among them ``eval``
+of one fixed rank-3 state read from a ``file:`` spec, the path on which
+every command builds its settings operands afresh.  It then pairs the
 outputs: every number in a file or in stdout is compared with the number
 at the same place in the other tree's output, and the text between the
 numbers must match exactly.
@@ -21,6 +23,7 @@ differs.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -29,6 +32,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ANGLES = "angles:" + ",".join(
     ["0.3", "0.2", "1.1", "2.5", "0.7", "4.0", "2.9", "1.3", "1.6", "5.5", "0.9", "3.3"]
@@ -43,6 +48,8 @@ COMMANDS = [
     ("eval-ghz-werner-skew", ["eval", "--state", "ghz-werner:0.3", "--settings", "example2", "--kind", "skew"]),
     ("eval-w-pure-l1-angles", ["eval", "--state", "w-pure:0.4,1.1", "--settings", ANGLES, "--kind", "l1"]),
     ("eval-ghz-pure-skew-angles", ["eval", "--state", "ghz-pure:0.7", "--settings", ANGLES, "--kind", "skew"]),
+    *((f"eval-file-rank3-{kind}-angles", ["eval", "--state", "file:rank3.json", "--settings", ANGLES, "--kind", kind])
+      for kind in ("mabk", "l1", "rel-ent", "skew")),
     ("threshold-ghz-werner-skew", ["threshold", "--state", "ghz-werner", "--kind", "skew",
                                    "--settings", "example2", "--bracket", "0:1"]),
     ("optimize-ghz-l1", ["optimize", "--state", "ghz", "--kind", "l1",
@@ -64,6 +71,16 @@ COMMANDS = [
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)\b")
 
 
+def write_rank3_state(path: Path) -> None:
+    """A fixed rank-3 state, G G^dagger / tr for a seeded complex 8x3 G, as a state file."""
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T) / np.trace(m).real
+    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    path.write_text(json.dumps({"dim": 8, "entries": entries}), encoding="utf-8")
+
+
 def _run(tree: Path, argv: list[str], cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
@@ -81,6 +98,7 @@ def collect(tree: Path, out: Path) -> dict[str, str]:
     _run(tree, [str(tree / "scripts" / "run_scans.py"), "--outdir", str(scans)], out)
     outputs = {f"scans/{p.name}": p.read_text(encoding="utf-8") for p in sorted(scans.iterdir())}
     outputs["verify"] = _run(tree, ["-m", "tribell.cli", "verify"], out)
+    write_rank3_state(out / "rank3.json")
     for name, argv in COMMANDS:
         outputs[name] = _run(tree, ["-m", "tribell.cli", *argv], out)
     return outputs

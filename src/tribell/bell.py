@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, _adjoint, _herm_eigh, _kron, herm_eig, psd_sqrt
+from .linalg import HERMITICITY_TOL, _adjoint, _herm_eigh, _kron, psd_sqrt
 from .measures import _clamp_at_zero, _prob_entropy, _skew_from_root
 from .states import (
     DensityMatrix,
@@ -26,7 +27,6 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     bloch_observable,
-    collective_observable,
     ghz_class_pure,
     pure_density,
     w_class_pure,
@@ -36,6 +36,7 @@ from .states import _bloch_matrices, _collective_matrices, _ghz_amplitudes, _pro
 from .states import _werner_matrix
 
 TERMS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
+_SETTING_NAMES = ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")
 TERM_PARTIES = tuple(operator.itemgetter(i - 1, j + 1, k + 3) for i, j, k in TERMS)  # (A, B, C) from (A1, A2, ..., C2)
 TERM_SIGNS = (1.0, 1.0, 1.0, -1.0)
 VIOLATION_MARGIN = 1e-9
@@ -73,7 +74,7 @@ class BellSettings:
     m_c2: Observable
 
     def __post_init__(self) -> None:
-        for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2"):
+        for name in _SETTING_NAMES:
             ob = getattr(self, name)
             if not isinstance(ob, Observable):
                 raise TypeError(f"{name} must be an Observable")
@@ -88,44 +89,26 @@ class BellSettings:
         c = self.m_c1 if k == 1 else self.m_c2
         return (a, b, c)
 
-    # Settings-side operands, built on first use and kept on the instance
-    # (cached_property writes the instance __dict__, which a frozen
-    # dataclass allows); reuse one settings object across states.
-    @functools.cached_property
-    def term_unitaries(self) -> np.ndarray:
-        """The four terms' 8x8 product-basis unitaries, stacked (4, 8, 8).
+    def term_operands(self, kind: FunctionalKind) -> np.ndarray:
+        """The four terms' operands for a kind, (4, 8, 8) and read-only.
 
-        The Kronecker product of the three party eigenvector matrices
-        stacks the product kets in the same lexicographic column order that
-        product_basis uses, so each unitary equals the corresponding
-        ProductBasis.unitary() exactly.
+        Built on first use from the six party operands, with at most one
+        eigensolve, and kept on the instance (which a frozen dataclass allows
+        through __dict__); l1 and rel-ent share theirs.  Reuse one settings
+        object across states.
         """
-        vecs = [herm_eig(getattr(self, name).matrix).eigenvectors for name in ("m_a1", "m_a2", "m_b1", "m_b2", "m_c1", "m_c2")]
-        return _read_only(_term_unitary(*pick(vecs)) for pick in TERM_PARTIES)
+        recipe = _KINDS[kind]
+        key = (recipe.party, recipe.term_operand)
+        if key not in self._operands:
+            parties = recipe.party(np.stack([getattr(self, name).matrix for name in _SETTING_NAMES]))
+            operands = recipe.term_operand(*parties[[pick(range(6)) for pick in TERM_PARTIES]].swapaxes(0, 1))
+            operands.setflags(write=False)
+            self._operands[key] = operands
+        return self._operands[key]
 
     @functools.cached_property
-    def mabk_operators(self) -> np.ndarray:
-        """The four joint correlator operators A (x) B (x) C, stacked (4, 8, 8)."""
-        return _read_only(_mabk_operator(*(ob.matrix for ob in self.for_term(term))) for term in TERMS)
-
-    @functools.cached_property
-    def collective_observables(self) -> np.ndarray:
-        """The four collective observables A + B + C of the skew terms, stacked (4, 8, 8)."""
-        return _read_only(collective_observable(*self.for_term(term)) for term in TERMS)
-
-
-def _term_unitary(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    return _kron(va, _kron(vb, vc))
-
-
-def _mabk_operator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return _kron(_kron(a, b), c)
-
-
-def _read_only(arrays) -> np.ndarray:
-    out = np.stack(tuple(arrays))
-    out.setflags(write=False)
-    return out
+    def _operands(self) -> dict:
+        return {}
 
 
 def example1_settings() -> BellSettings:
@@ -164,7 +147,7 @@ def example2_settings() -> BellSettings:
     )
 
 
-# Array kernels: states (..., 8, 8) and term operands (..., 8, 8) broadcast against each other
+# Array kernels: state sides (..., 8, 8) and term operands (..., 8, 8) broadcast against each other
 # (one state under a settings object's (4, 8, 8) operands gives (4,), an (N, 1, 8, 8) stack gives
 # (N, 4), one state and one operand a scalar), and each value gets the arithmetic of one term on
 # one state, so its bits do not depend on the stacking.  measures._skew_from_root is the skew kernel.
@@ -176,8 +159,9 @@ def _l1_terms(rhos: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(_adjoint(us) @ rhos @ us), axis=(-2, -1)) - 1.0
 
 
-def _rel_ent_terms(rhos: np.ndarray, us: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Also takes the states' eigenvalues, (..., 8) like rhos; one entropy call serves populations and spectra."""
+def _rel_ent_terms(side: tuple[np.ndarray, np.ndarray], us: np.ndarray) -> np.ndarray:
+    """The state side is the states and their eigenvalues, (..., 8); one entropy call serves populations and spectra."""
+    rhos, spectra = side
     populations = np.einsum("...ij,...jk,...ki->...i", _adjoint(us), rhos, us).real
     entropies = _prob_entropy(np.concatenate([populations.reshape(-1, 8), spectra.reshape(-1, 8)]))
     n = populations.size // 8
@@ -190,34 +174,64 @@ def _signed_sum(t0, t1, t2, t3):
     return 0.0 + t0 + t1 + t2 - t3
 
 
-# Each kind's arithmetic, written once, on valid states (..., 8, 8): one (8, 8) state gives a numpy
-# scalar, an (N, 1, 8, 8) stack (N,) values with the same bits.
-_VALUES = {
-    FunctionalKind.MABK: lambda rhos, s: abs(_signed_sum(*_mabk_terms(rhos, s.mabk_operators).T)),
-    FunctionalKind.L1: lambda rhos, s: _signed_sum(*_l1_terms(rhos, s.term_unitaries).T),
-    FunctionalKind.REL_ENT: lambda rhos, s: _signed_sum(*_rel_ent_terms(rhos, s.term_unitaries, np.linalg.eigvalsh(rhos)).T),
-    FunctionalKind.SKEW: lambda rhos, s: _signed_sum(*_skew_from_root(psd_sqrt(rhos), s.collective_observables).T),
+def _eigenvectors(observables: np.ndarray) -> np.ndarray:
+    return _herm_eigh(observables, HERMITICITY_TOL)[1]
+
+
+def _product_unitaries(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """The term's product-basis unitary, kets in product_basis's lexicographic column order."""
+    return _kron(va, _kron(vb, vc))
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How one functional kind turns party observables and states into its value."""
+
+    party: Callable[[np.ndarray], np.ndarray]  # (..., 2, 2) observables -> party operands
+    term_operand: Callable[..., np.ndarray]  # (A, B, C) party operand stacks -> (..., 8, 8) term operands
+    state_side: Callable[[np.ndarray], object]  # (..., 8, 8) states -> what terms reads
+    terms: Callable[[object, np.ndarray], np.ndarray]  # the kernel: (state side, term operands) -> term values
+    combine: Callable[..., float]  # four term values -> the functional
+
+
+# The only place that knows what each kind evaluates: settings, stacks and the optimizer all read it.
+# psd_sqrt is looked up per call, so a wrapper rebound over it (perfbench's tracer) still sees each call.
+_KINDS = {
+    FunctionalKind.MABK: _Recipe(lambda m: m, lambda a, b, c: _kron(_kron(a, b), c), lambda rhos: rhos,
+                                 _mabk_terms, lambda *t: abs(_signed_sum(*t))),
+    FunctionalKind.L1: _Recipe(_eigenvectors, _product_unitaries, lambda rhos: rhos, _l1_terms, _signed_sum),
+    FunctionalKind.REL_ENT: _Recipe(_eigenvectors, _product_unitaries, lambda rhos: (rhos, np.linalg.eigvalsh(rhos)),
+                                    _rel_ent_terms, _signed_sum),
+    FunctionalKind.SKEW: _Recipe(lambda m: m, _collective_matrices, lambda rhos: psd_sqrt(rhos), _skew_from_root,
+                                 _signed_sum),
 }
+
+
+def _values(kind: FunctionalKind, rhos: np.ndarray, settings: BellSettings):
+    """A kind's value on valid states (..., 8, 8): one (8, 8) state gives a numpy scalar, an (N, 1, 8, 8) stack
+    (N,) values with the same bits."""
+    recipe = _KINDS[kind]
+    return recipe.combine(*recipe.terms(recipe.state_side(rhos), settings.term_operands(kind)).T)
 
 
 def mabk(rho: DensityMatrix, settings: BellSettings) -> float:
     """Absolute value of the signed combination of product correlators."""
-    return float(_VALUES[FunctionalKind.MABK](rho.matrix, settings))
+    return float(_values(FunctionalKind.MABK, rho.matrix, settings))
 
 
 def bell_l1(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of l1 coherences in the term product bases."""
-    return float(_VALUES[FunctionalKind.L1](rho.matrix, settings))
+    return float(_values(FunctionalKind.L1, rho.matrix, settings))
 
 
 def bell_rel_ent(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of relative-entropy coherences in the term bases."""
-    return float(_VALUES[FunctionalKind.REL_ENT](rho.matrix, settings))
+    return float(_values(FunctionalKind.REL_ENT, rho.matrix, settings))
 
 
 def bell_skew(rho: DensityMatrix, settings: BellSettings) -> float:
     """Signed combination of skew informations of collective observables."""
-    return float(_VALUES[FunctionalKind.SKEW](rho.matrix, settings))
+    return float(_values(FunctionalKind.SKEW, rho.matrix, settings))
 
 
 _EVALUATORS = {
@@ -235,7 +249,7 @@ def evaluate(kind: FunctionalKind, rho: DensityMatrix, settings: BellSettings) -
 
 def _evaluate_stack(kind: FunctionalKind, rhos: np.ndarray, settings: BellSettings) -> np.ndarray:
     """evaluate on each state of a valid (N, 8, 8) stack, as (N,) values with the same bits, in one kernel call."""
-    return _VALUES[kind](rhos[:, None], settings)
+    return _values(kind, rhos[:, None], settings)
 
 
 class Family(Enum):
@@ -472,16 +486,11 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
     """
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
-    # A probe moves one angle: one new party operand (the observable, or its eigenvectors for l1 and rel-ent)
-    # and two new terms.  A restart caches operands by the angles' exact bits and terms by operand rows, so a
-    # hit is bit-identical to a fresh evaluation; a call's new operands take one eigensolve, its new terms one kernel call.
-    spectrum = np.linalg.eigvalsh(rho.matrix)
-    term_values = {
-        FunctionalKind.MABK: lambda a, b, c: _mabk_terms(rho.matrix, _mabk_operator(a, b, c)),
-        FunctionalKind.L1: lambda a, b, c: _l1_terms(rho.matrix, _term_unitary(a, b, c)),
-        FunctionalKind.REL_ENT: lambda a, b, c: _rel_ent_terms(rho.matrix, _term_unitary(a, b, c), spectrum),
-        FunctionalKind.SKEW: lambda a, b, c: _skew_from_root(rho.root, _collective_matrices(a, b, c)),
-    }[kind]
+    # A probe moves one angle: one new party operand and two new terms.  A restart caches party operands by
+    # the angles' exact bits and terms by operand rows, so a hit is bit-identical to a fresh evaluation; a
+    # call's new party operands take one party-operand call (at most one eigensolve), its new terms one kernel call.
+    recipe = _KINDS[kind]
+    side = recipe.state_side(rho.matrix)
 
     best_angles, best_value = None, -math.inf
     for r in range(restarts):
@@ -494,9 +503,7 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
             rows = points.view("V16").tolist()
             new_pairs = list(set().union(*rows).difference(parties))
             if new_pairs:
-                made = _bloch_matrices(*np.frombuffer(b"".join(new_pairs)).reshape(-1, 2).T)
-                if kind in (FunctionalKind.L1, FunctionalKind.REL_ENT):
-                    made = _herm_eigh(made, HERMITICITY_TOL)[1]
+                made = recipe.party(_bloch_matrices(*np.frombuffer(b"".join(new_pairs)).reshape(-1, 2).T))
                 if (n := len(parties)) + len(made) > len(operands):
                     operands = np.concatenate([operands, np.empty((n + len(made), 2, 2), dtype=complex)])
                 operands[n:n + len(made)] = made
@@ -506,10 +513,9 @@ def optimize(rho: DensityMatrix, kind: FunctionalKind, restarts: int = 8, iterat
             new_triples = list(set(triples).difference(terms))
             if new_triples:
                 a, b, c = operands[np.array(new_triples)].swapaxes(0, 1)
-                terms.update(zip(new_triples, term_values(a, b, c).tolist()))
+                terms.update(zip(new_triples, recipe.terms(side, recipe.term_operand(a, b, c)).tolist()))
             values = list(map(terms.__getitem__, triples))
-            values = [_signed_sum(*values[q:q + 4]) for q in range(0, len(values), 4)]
-            return [abs(v) for v in values] if kind is FunctionalKind.MABK else values
+            return [recipe.combine(*values[q:q + 4]) for q in range(0, len(values), 4)]
 
         start = np.random.default_rng([seed, r]).uniform(0.0, [math.pi, 2.0 * math.pi] * 6)
         angles, value = _coordinate_ascent(objective, start, iterations, step0=math.pi / 8.0, floor=1e-9)

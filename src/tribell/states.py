@@ -6,7 +6,6 @@ party A owning the most significant bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ from .linalg import (
     as_complex_matrix,
     herm_eig,
     hermiticity_defect,
-    psd_sqrt,
 )
 
 NORM_TOL = 1e-10
@@ -127,13 +125,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @functools.cached_property
-    def root(self) -> np.ndarray:
-        """Read-only psd_sqrt of the matrix, computed once per state."""
-        root = psd_sqrt(self.matrix)
-        root.setflags(write=False)
-        return root
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from helpers import random_density, reference_coordinate_ascent
+from helpers import random_density, random_ket, reference_coordinate_ascent
 from tribell import (
     BellSettings,
     DensityMatrix,
@@ -42,10 +43,13 @@ from tribell import (
     settings_from_angles,
     skew_information,
     threshold_bisect,
+    w_class_pure,
     w_state,
+    werner_mix,
 )
 import tribell.bell as bell_module
 from tribell.bell import TERMS, TERM_SIGNS
+from tribell.verify import werner_root_scale
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -157,6 +161,49 @@ def test_functionals_match_their_definitions():
         assert abs(bell_skew(rho, s) - by_terms_skew) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "s",
+    [example1_settings(), example2_settings(), random_settings(5), random_settings(6)],
+    ids=["example1", "example2", "random5", "random6"],
+)
+def test_werner_scaling_laws(s):
+    """On (p/8) I + (1 - p) rho: l1 and mabk scale by 1 - p, and for pure rho skew by werner_root_scale(p)."""
+    rng = np.random.default_rng(27)
+    for rho in [pure_density(w_state()), pure_density(ghz_state())] + [pure_density(random_ket(rng, 8)) for _ in range(3)]:
+        for p in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+            noisy = werner_mix(rho, p)
+            assert abs(bell_l1(noisy, s) - (1.0 - p) * bell_l1(rho, s)) <= 1e-12
+            assert abs(mabk(noisy, s) - (1.0 - p) * mabk(rho, s)) <= 1e-12
+            assert abs(bell_skew(noisy, s) - werner_root_scale(p) * bell_skew(rho, s)) <= 1e-12
+
+
+def test_biseparable_state_violates_three_product_bounds(ex1):
+    """|0>_A (x) Psi+_BC, w_class_pure(0, pi/4), exceeds the l1, rel-ent and skew product bounds under example1."""
+    rho = pure_density(w_class_pure(0.0, math.pi / 4.0))
+    assert abs(bell_l1(rho, ex1) - 16.0) <= 1e-9
+    assert abs(bell_rel_ent(rho, ex1) - 7.0) <= 1e-9
+    assert abs(bell_skew(rho, ex1) - 8.0) <= 1e-9
+
+
+def test_separable_mixture_exceeds_the_skew_product_bound():
+    """1/2 |+++><+++| + 1/2 |a,a,-a><a,a,-a| at a = pi/3, |a> = (|0> + e^{ia}|1>)/sqrt2, under z/-z, z/-z, z/z."""
+
+    def product_ket(*phases):
+        kets = [np.array([1.0, np.exp(1j * a)]) / SQRT2 for a in phases]
+        return np.kron(kets[0], np.kron(kets[1], kets[2]))
+
+    first, second = product_ket(0.0, 0.0, 0.0), product_ket(math.pi / 3.0, math.pi / 3.0, -math.pi / 3.0)
+    rho = DensityMatrix(0.5 * np.outer(first, first.conj()) + 0.5 * np.outer(second, second.conj()))
+    z, minus_z = Observable(pauli("z")), Observable(-pauli("z"))
+    s = BellSettings(z, minus_z, z, minus_z, z, z)
+    by_terms = sum(
+        sign * skew_information(rho, collective_observable(*s.for_term(term))) for sign, term in zip(TERM_SIGNS, TERMS)
+    )
+    assert abs(bell_skew(rho, s) - 7.109693164311151) <= 1e-12
+    assert abs(by_terms - bell_skew(rho, s)) <= 1e-12
+    assert bell_skew(rho, s) > product_bound(FunctionalKind.SKEW)
+
+
 def test_evaluate_dispatch(rho_w, ex1):
     assert evaluate(FunctionalKind.L1, rho_w, ex1) == bell_l1(rho_w, ex1)
     assert evaluate(FunctionalKind.MABK, rho_w, ex1) == mabk(rho_w, ex1)
@@ -171,33 +218,32 @@ def test_family_state_special_points(rho_w, rho_ghz, ex1):
 
 
 def test_settings_operands_are_built_once_per_settings_object(monkeypatch):
-    """A scan under one settings object builds its settings side once, not per point."""
-    calls = {"herm_eig": 0, "collective_observable": 0}
+    """A scan under one settings object builds its settings side once, not per point; l1 and rel-ent share it."""
+    builds, eigensolved = [], []
+    herm_eigh = bell_module._herm_eigh
+    monkeypatch.setattr(bell_module, "_herm_eigh", lambda m, tol: eigensolved.append(len(m)) or herm_eigh(m, tol))
+    counted = {}
+    for kind, recipe in list(bell_module._KINDS.items()):
+        build = recipe.term_operand
+        counted.setdefault(build, lambda *abc, build=build: builds.append(build) or build(*abc))
+        monkeypatch.setitem(bell_module._KINDS, kind, dataclasses.replace(recipe, term_operand=counted[build]))
 
-    def counted(name):
-        original = getattr(bell_module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(bell_module, name, wrapper)
-
-    counted("herm_eig")
-    counted("collective_observable")
     settings = example1_settings()
     points = np.linspace(0.0, 1.0, 50)
     for kind in (FunctionalKind.L1, FunctionalKind.REL_ENT):
         for p in points:
             evaluate_family(FamilyCurve(Family.W_WERNER, kind, settings), p)
-    assert calls["herm_eig"] == 6
+    assert eigensolved == [6]
+    assert len(builds) == 1
     for p in points:
         evaluate_family(FamilyCurve(Family.W_WERNER, FunctionalKind.SKEW, settings), p)
-    assert calls["collective_observable"] == 4
+    assert len(builds) == 2
 
     mabk(pure_density(w_state()), settings)
-    for operands in (settings.term_unitaries, settings.mabk_operators, settings.collective_observables):
-        assert len(operands) == 4
+    assert len(builds) == 3 and eigensolved == [6]
+    for kind in FunctionalKind:
+        operands = settings.term_operands(kind)
+        assert operands.shape == (4, 8, 8)
         for arr in operands:
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -364,10 +410,11 @@ def test_batched_ascent_takes_the_one_probe_path(f):
 def _count_eigensolves(monkeypatch):
     """Counts of probe rows the optimizer evaluates and of matrices it eigensolves.
 
-    Both eigensolver routes count: bell.herm_eig one matrix per call, bell._herm_eigh its stack size.
+    bell's one eigensolver route is _herm_eigh, counted by its stack size.
     """
+    assert not hasattr(bell_module, "herm_eig")
     counts = {"probes": 0, "eigensolved": 0}
-    ascent, eig, herm_eigh = bell_module._coordinate_ascent, bell_module.herm_eig, bell_module._herm_eigh
+    ascent, herm_eigh = bell_module._coordinate_ascent, bell_module._herm_eigh
 
     def counted_ascent(objective, *args, **kwargs):
         def counted_objective(points):
@@ -376,16 +423,11 @@ def _count_eigensolves(monkeypatch):
 
         return ascent(counted_objective, *args, **kwargs)
 
-    def counted_eig(m, *args, **kwargs):
-        counts["eigensolved"] += 1
-        return eig(m, *args, **kwargs)
-
     def counted_herm_eigh(m, *args, **kwargs):
         counts["eigensolved"] += len(m)
         return herm_eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(bell_module, "_coordinate_ascent", counted_ascent)
-    monkeypatch.setattr(bell_module, "herm_eig", counted_eig)
     monkeypatch.setattr(bell_module, "_herm_eigh", counted_herm_eigh)
     return counts
 

@@ -44,18 +44,19 @@ def _compressed_entropy(p: np.ndarray) -> float:
 def _loop_reference(kind: FunctionalKind, rho: DensityMatrix, s) -> float:
     """One term at a time on 8x8 matrices, summed from 0.0 with TERM_SIGNS."""
     entropy = _compressed_entropy(np.linalg.eigvalsh(rho.matrix))
+    root = psd_sqrt(rho.matrix)
     total = 0.0
     for k, sign in enumerate(TERM_SIGNS):
-        u, joint, obs = s.term_unitaries[k], s.mabk_operators[k], s.collective_observables[k]
+        operand = s.term_operands(kind)[k]
         if kind is FunctionalKind.MABK:
-            term = float(np.trace(rho.matrix @ joint).real)
+            term = float(np.trace(rho.matrix @ operand).real)
         elif kind is FunctionalKind.L1:
-            term = float(np.sum(np.abs(u.conj().T @ rho.matrix @ u))) - 1.0
+            term = float(np.sum(np.abs(operand.conj().T @ rho.matrix @ operand))) - 1.0
         elif kind is FunctionalKind.REL_ENT:
-            populations = np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u).real
+            populations = np.einsum("ij,jk,ki->i", operand.conj().T, rho.matrix, operand).real
             term = max(0.0, _compressed_entropy(populations) - entropy)
         else:
-            c = rho.root @ obs - obs @ rho.root
+            c = root @ operand - operand @ root
             term = max(0.0, float(-0.5 * np.trace(c @ c).real))
         total += sign * term
     return abs(total) if kind is FunctionalKind.MABK else total
@@ -65,10 +66,12 @@ def _stacked_values(rhos, roots, spectra, s) -> dict:
     """Each kind on an (N, 8, 8) stack, broadcast as (N, 1, 8, 8) against the (4, 8, 8) operands."""
     rhos, roots, spectra = rhos[:, None], roots[:, None], spectra[:, None]
     return {
-        FunctionalKind.MABK: abs(bell._signed_sum(*bell._mabk_terms(rhos, s.mabk_operators).T)),
-        FunctionalKind.L1: bell._signed_sum(*bell._l1_terms(rhos, s.term_unitaries).T),
-        FunctionalKind.REL_ENT: bell._signed_sum(*bell._rel_ent_terms(rhos, s.term_unitaries, spectra).T),
-        FunctionalKind.SKEW: bell._signed_sum(*_skew_from_root(roots, s.collective_observables).T),
+        FunctionalKind.MABK: abs(bell._signed_sum(*bell._mabk_terms(rhos, s.term_operands(FunctionalKind.MABK)).T)),
+        FunctionalKind.L1: bell._signed_sum(*bell._l1_terms(rhos, s.term_operands(FunctionalKind.L1)).T),
+        FunctionalKind.REL_ENT: bell._signed_sum(
+            *bell._rel_ent_terms((rhos, spectra), s.term_operands(FunctionalKind.REL_ENT)).T
+        ),
+        FunctionalKind.SKEW: bell._signed_sum(*_skew_from_root(roots, s.term_operands(FunctionalKind.SKEW)).T),
     }
 
 
@@ -102,7 +105,7 @@ def test_stacked_kernels_match_scalar_evaluators_bit_for_bit(s):
     spectra = np.linalg.eigvalsh(rhos)
     stacked = _stacked_values(rhos, roots, spectra, s)
     for n, rho in enumerate(states):
-        assert roots[n].tobytes() == rho.root.tobytes()
+        assert roots[n].tobytes() == psd_sqrt(rho.matrix).tobytes()
         assert _bits(_prob_entropy(spectra)[n]) == _bits(von_neumann_entropy(rho))
         for kind in FunctionalKind:
             scalar = evaluate(kind, rho, s)

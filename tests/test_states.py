@@ -24,7 +24,6 @@ from tribell import (
     pauli,
     product_basis,
     product_state,
-    psd_sqrt,
     pure_density,
     random_single_qubit_state,
     w_class_pure,
@@ -242,14 +241,6 @@ def test_bloch_observable_matches_checked_constructor():
         trusted = bloch_observable(theta, phi)
         assert np.array_equal(trusted.matrix, checked.matrix)
         assert trusted.dichotomic and not trusted.matrix.flags.writeable
-
-
-def test_density_root_is_cached_and_read_only():
-    rho = werner_mix(pure_density(w_state()), 0.3)
-    assert rho.root is rho.root
-    assert np.array_equal(rho.root, psd_sqrt(rho.matrix))
-    with pytest.raises(ValueError):
-        rho.root[0, 0] = 0.0
 
 
 def test_density_matrix_trace_and_eigenvalue_boundaries():
