@@ -9,10 +9,11 @@ tree, with ``PYTHONPATH=<tree>/src``, the script runs that tree's
 ``scripts/run_scans.py``, ``tribell verify`` and a fixed list of
 ``eval``, ``threshold`` and ``optimize`` commands, among them ``eval``
 of one fixed rank-3 state read from a ``file:`` spec, the path on which
-every command builds its settings operands afresh.  It then pairs the
-outputs: every number in a file or in stdout is compared with the number
-at the same place in the other tree's output, and the text between the
-numbers must match exactly.
+every command builds its settings operands afresh, and ``eval`` at the
+edges of each family's domain.  It then pairs the outputs: every number
+in a file or in stdout is compared with the number at the same place in
+the other tree's output, and the text between the numbers must match
+exactly.
 
 Per output it prints the count of numbers, the largest absolute
 difference and the largest distance in units in the last place (ulp).
@@ -48,6 +49,12 @@ COMMANDS = [
     ("eval-ghz-werner-skew", ["eval", "--state", "ghz-werner:0.3", "--settings", "example2", "--kind", "skew"]),
     ("eval-w-pure-l1-angles", ["eval", "--state", "w-pure:0.4,1.1", "--settings", ANGLES, "--kind", "l1"]),
     ("eval-ghz-pure-skew-angles", ["eval", "--state", "ghz-pure:0.7", "--settings", ANGLES, "--kind", "skew"]),
+    # The family domain edges, where p = 0 and p = 1 meet the Werner broadcast.
+    ("eval-w-werner-0-rel-ent", ["eval", "--state", "w-werner:0", "--settings", "example1", "--kind", "rel-ent"]),
+    ("eval-ghz-werner-1-skew", ["eval", "--state", "ghz-werner:1", "--settings", "example2", "--kind", "skew"]),
+    ("eval-ghz-pure-0-l1-angles", ["eval", "--state", "ghz-pure:0", "--settings", ANGLES, "--kind", "l1"]),
+    ("eval-w-pure-edge-mabk-angles", ["eval", "--state", "w-pure:3.141592653589793,6.283185307179586",
+                                      "--settings", ANGLES, "--kind", "mabk"]),
     *((f"eval-file-rank3-{kind}-angles", ["eval", "--state", "file:rank3.json", "--settings", ANGLES, "--kind", kind])
       for kind in ("mabk", "l1", "rel-ent", "skew")),
     ("threshold-ghz-werner-skew", ["threshold", "--state", "ghz-werner", "--kind", "skew",

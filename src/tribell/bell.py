@@ -27,10 +27,6 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     bloch_observable,
-    ghz_class_pure,
-    pure_density,
-    w_class_pure,
-    werner_mix,
 )
 from .states import _bloch_matrices, _collective_matrices, _ghz_amplitudes, _projectors, _symmetrised, _w_amplitudes
 from .states import _werner_matrix
@@ -286,35 +282,41 @@ def _check_point(family: Family, params: tuple[float, ...]) -> tuple[float, ...]
     return params
 
 
-def family_state(family: Family, params: tuple[float, ...]) -> DensityMatrix:
-    """Construct the parametrized family member, validating the domain."""
-    _check_point(family, params)
-    if family is Family.W_PURE:
-        return pure_density(w_class_pure(params[0], params[1]))
-    if family is Family.GHZ_PURE:
-        return pure_density(ghz_class_pure(params[0]))
-    return werner_mix(_werner_base(family), params[0])
+def _point(params) -> tuple[float, ...]:
+    """A point as a tuple of floats, from a sequence of numbers or one number."""
+    try:
+        return tuple(map(float, params))
+    except TypeError:
+        return (float(params),)
 
 
-def family_states(family: Family, points: np.ndarray) -> np.ndarray:
-    """family_state at (N, k) points as one (N, 8, 8) stack, with its bits and its error at the first bad point."""
-    domain = np.array(FAMILY_DOMAINS[family])
-    inside = points.shape[1] == len(domain) and ((domain[:, 0] <= points) & (points <= domain[:, 1])).all(axis=1)
-    if not np.all(inside):
-        _check_point(family, tuple(float(v) for v in points[np.argmin(inside)]))
+def _members(family: Family, points: np.ndarray) -> np.ndarray:
+    """The family's unsymmetrised members at checked (..., k) points, (..., 8, 8): each member formula, once."""
     if family is Family.W_PURE:
-        return _symmetrised(_projectors(_w_amplitudes(points[:, 0], points[:, 1])))
+        return _projectors(_w_amplitudes(points[..., 0], points[..., 1]))
     if family is Family.GHZ_PURE:
-        return _symmetrised(_projectors(_ghz_amplitudes(points[:, 0])))
-    return _symmetrised(_werner_matrix(_werner_base(family).matrix, points[:, :, None]))
+        return _projectors(_ghz_amplitudes(points[..., 0]))
+    return _werner_matrix(_werner_base(family), points[..., None])
+
+
+def family_state(family: Family, params) -> DensityMatrix:
+    """Construct the family member at a point (scalar or tuple), validating the domain."""
+    return DensityMatrix._trusted(_members(family, np.array(_check_point(family, _point(params)))))
+
+
+def family_states(family: Family, points) -> np.ndarray:
+    """family_state at N points (scalars, k-tuples or an (N, k) array) as one (N, 8, 8) stack, with its bits
+    and the error of its first bad point."""
+    checked = np.array([_check_point(family, _point(p)) for p in points]).reshape(-1, family_param_count(family))
+    return _symmetrised(_members(family, checked))
 
 
 @functools.cache
-def _werner_base(family: Family) -> DensityMatrix:
-    """The fixed pure state a Werner family mixes with white noise."""
+def _werner_base(family: Family) -> np.ndarray:
+    """The matrix of the fixed pure member a Werner family mixes with white noise."""
     if family is Family.GHZ_WERNER:
-        return pure_density(ghz_class_pure(math.pi / 4.0))
-    return pure_density(w_class_pure(math.asin(1.0 / math.sqrt(3.0)), math.pi / 4.0))
+        return family_state(Family.GHZ_PURE, math.pi / 4.0).matrix
+    return family_state(Family.W_PURE, (math.asin(1.0 / math.sqrt(3.0)), math.pi / 4.0)).matrix
 
 
 @dataclass(frozen=True)
@@ -326,27 +328,20 @@ class FamilyCurve:
     settings: BellSettings
 
 
-def _point(params) -> tuple[float, ...]:
-    return (float(params),) if np.isscalar(params) else tuple(float(v) for v in params)
-
-
 def evaluate_family(curve: FamilyCurve, params) -> float:
     """Evaluate the curve at a parameter point (scalar or tuple)."""
-    return evaluate(curve.kind, family_state(curve.family, _point(params)), curve.settings)
+    return evaluate(curve.kind, family_state(curve.family, params), curve.settings)
 
 
 GRID_CHUNK = 128  # states per kernel call in evaluate_family_grid
 
 
 def evaluate_family_grid(curve: FamilyCurve, points) -> np.ndarray:
-    """evaluate_family at N points, an (N, k) array or N scalars, with its bits and errors.
+    """evaluate_family at N points (as family_states takes them), with its bits and errors.
 
-    Members are built and evaluated GRID_CHUNK at a time, one kernel call per chunk.
+    Members are built and evaluated GRID_CHUNK at a time, one kernel call per chunk, so the
+    chunks before a grid's first bad point are evaluated before it raises.
     """
-    try:
-        points = np.asarray(points, dtype=float).reshape(len(points), -1)
-    except ValueError:  # no points, or ragged ones: the first that evaluate_family refuses raises its error
-        points = np.array([_check_point(curve.family, _point(p)) for p in points])
     values = np.empty(len(points))
     for start in range(0, len(points), GRID_CHUNK):
         chunk = slice(start, start + GRID_CHUNK)

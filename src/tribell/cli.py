@@ -8,6 +8,7 @@ Subcommands: eval, scan, threshold, optimize, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -37,13 +38,6 @@ from .bell import (
 from .states import DensityMatrix, ParameterOutOfRangeError, ghz_state, pure_density, w_state
 from . import verify as verify_module
 
-EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
-EXIT_PARSE = 2
-EXIT_BAD_STATE = 3
-EXIT_IO = 4
-EXIT_BRACKET = 5
-
 
 class CliInputError(Exception):
     """A malformed command-line spec (exit code 2)."""
@@ -51,6 +45,23 @@ class CliInputError(Exception):
 
 class StateInputError(Exception):
     """A state that cannot be constructed or loaded (exit code 3)."""
+
+
+EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
+EXIT_PARSE = 2
+EXIT_BAD_STATE = 3
+EXIT_IO = 4
+EXIT_BRACKET = 5
+# The exit code of each error a command may raise, the first matching entry in order.
+_EXIT_CODES = {
+    CliInputError: EXIT_PARSE,
+    StateInputError: EXIT_BAD_STATE,
+    NoSignChangeError: EXIT_BRACKET,
+    NotMonotoneError: EXIT_BRACKET,
+    ParameterOutOfRangeError: EXIT_PARSE,
+    OSError: EXIT_IO,
+}
 
 
 def _floats(text: str, expected: int, what: str) -> list[float]:
@@ -103,20 +114,14 @@ def parse_state(spec: str) -> tuple[DensityMatrix, str]:
             return pure_density(w_state()), spec
         if spec == "ghz":
             return pure_density(ghz_state()), spec
-        if head == "w-pure":
-            theta, phi = _floats(arg, 2, "w-pure parameters")
-            return family_state(Family.W_PURE, (theta, phi)), spec
-        if head == "ghz-pure":
-            (theta,) = _floats(arg, 1, "ghz-pure parameter")
-            return family_state(Family.GHZ_PURE, (theta,)), spec
-        if head in ("w-werner", "ghz-werner"):
-            (p,) = _floats(arg, 1, f"{head} parameter")
-            family = Family.W_WERNER if head == "w-werner" else Family.GHZ_WERNER
-            return family_state(family, (p,)), spec
         if head == "file":
             if not arg:
                 raise CliInputError("file state spec needs a path, e.g. file:rho.json")
             return load_state_file(arg), spec
+        if head in [family.value for family in Family]:
+            family = Family(head)
+            count = family_param_count(family)
+            return family_state(family, _floats(arg, count, f"{head} parameter" + "s" * (count > 1))), spec
     except ParameterOutOfRangeError as exc:
         raise StateInputError(str(exc)) from exc
     raise CliInputError(
@@ -232,11 +237,7 @@ def _scan_rows(family: Family, kind: FunctionalKind, settings, axes) -> list[dic
     curve = FamilyCurve(family=family, kind=kind, settings=settings)
     bound = product_bound(kind)
     rows = []
-    if len(axes) == 1:
-        points = [(float(t),) for t in axes[0]]
-    else:
-        points = [(float(t), float(u)) for t in axes[0] for u in axes[1]]
-    for point in points:
+    for point in itertools.product(*(axis.tolist() for axis in axes)):
         value = evaluate_family(curve, point)
         rows.append(
             {
@@ -368,21 +369,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_STATE
-    except (NoSignChangeError, NotMonotoneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BRACKET
-    except ParameterOutOfRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -205,10 +205,6 @@ def _close(name: str, got: float, want: float, tol: float) -> CheckResult:
     )
 
 
-def _curve(family: Family, kind: FunctionalKind, settings: BellSettings) -> FamilyCurve:
-    return FamilyCurve(family=family, kind=kind, settings=settings)
-
-
 def _ensemble_values(n_states: int = 1000, n_settings: int = 100) -> dict:
     """Functional values of random product states, one array of n_states per kind.
 
@@ -266,18 +262,19 @@ def checks(ensemble_states: int = 1000) -> list[CheckResult]:
     # (name, curve, bracket, crossing): threshold_bisect's product-bound crossing within 1e-6 of crossing.
     crossings = (
         ("threshold: w-werner l1 crosses at p = (16*sqrt2-17)/(25+16*sqrt2)",
-         _curve(Family.W_WERNER, l1, ex1), (0.0, 1.0), W_WERNER_L1_PSTAR),
-        ("threshold: ghz-werner l1 crosses at p = 0.3", _curve(Family.GHZ_WERNER, l1, ex1), (0.0, 1.0), GHZ_WERNER_L1_PSTAR),
+         FamilyCurve(Family.W_WERNER, l1, ex1), (0.0, 1.0), W_WERNER_L1_PSTAR),
+        ("threshold: ghz-werner l1 crosses at p = 0.3",
+         FamilyCurve(Family.GHZ_WERNER, l1, ex1), (0.0, 1.0), GHZ_WERNER_L1_PSTAR),
         ("threshold: w-werner skew crosses at p = (11-sqrt57)/20, axis settings",
-         _curve(Family.W_WERNER, skew, ex1), (0.0, 1.0), W_WERNER_SKEW_PSTAR),
+         FamilyCurve(Family.W_WERNER, skew, ex1), (0.0, 1.0), W_WERNER_SKEW_PSTAR),
         ("threshold: ghz-werner skew crosses at p = (5-sqrt3)/11, rotated settings",
-         _curve(Family.GHZ_WERNER, skew, ex2), (0.0, 1.0), GHZ_WERNER_SKEW_PSTAR),
+         FamilyCurve(Family.GHZ_WERNER, skew, ex2), (0.0, 1.0), GHZ_WERNER_SKEW_PSTAR),
         ("threshold: ghz-pure l1 crosses at theta = arcsin(5/11)/2",
-         _curve(Family.GHZ_PURE, l1, ex1), (0.05, math.pi / 4.0), GHZ_PURE_L1_THETA_STAR),
+         FamilyCurve(Family.GHZ_PURE, l1, ex1), (0.05, math.pi / 4.0), GHZ_PURE_L1_THETA_STAR),
         ("true crossing: w-werner rel-ent falls through 6 near p = 0.02602",
-         _curve(Family.W_WERNER, rel_ent, ex1), (0.0, 1.0), W_WERNER_REL_ENT_PSTAR),
+         FamilyCurve(Family.W_WERNER, rel_ent, ex1), (0.0, 1.0), W_WERNER_REL_ENT_PSTAR),
         ("true crossing: ghz-werner rel-ent falls through 6 near p = 0.11027",
-         _curve(Family.GHZ_WERNER, rel_ent, ex1), (0.0, 1.0), GHZ_WERNER_REL_ENT_PSTAR),
+         FamilyCurve(Family.GHZ_WERNER, rel_ent, ex1), (0.0, 1.0), GHZ_WERNER_REL_ENT_PSTAR),
     )
     for name, curve, bracket, crossing in crossings:
         rows.append(_close(name, threshold_bisect(curve, bracket), crossing, 1e-6))
@@ -288,26 +285,28 @@ def checks(ensemble_states: int = 1000) -> list[CheckResult]:
     # (name, curve, points, reference, tol): a witness row (no reference) asks for a grid minimum
     # above the product bound, a closed-form row for max |value - reference(point)| <= tol.
     grids = (
-        ("witness: w-pure rel-ent > 6 on interior 50x50 grid", _curve(Family.W_PURE, rel_ent, ex1), w_grid, None, None),
+        ("witness: w-pure rel-ent > 6 on interior 50x50 grid",
+         FamilyCurve(Family.W_PURE, rel_ent, ex1), w_grid, None, None),
         ("witness: ghz-pure rel-ent > 6 on interior 100-point grid",
-         _curve(Family.GHZ_PURE, rel_ent, ex1), thetas, None, None),
+         FamilyCurve(Family.GHZ_PURE, rel_ent, ex1), thetas, None, None),
         ("closed form: ghz-pure l1 = 9 + 11|sin 2theta|",
-         _curve(Family.GHZ_PURE, l1, ex1), thetas, ghz_pure_l1_curve, 1e-9),
+         FamilyCurve(Family.GHZ_PURE, l1, ex1), thetas, ghz_pure_l1_curve, 1e-9),
         ("closed form: ghz-pure rel-ent = 6 + 2h(cos^2 theta)",
-         _curve(Family.GHZ_PURE, rel_ent, ex1), thetas, ghz_pure_rel_ent_curve, 1e-9),
+         FamilyCurve(Family.GHZ_PURE, rel_ent, ex1), thetas, ghz_pure_rel_ent_curve, 1e-9),
         ("closed form: ghz-pure skew = 6 + sqrt3 - (4+sqrt3)cos 4theta, rotated settings",
-         _curve(Family.GHZ_PURE, skew, ex2), thetas, ghz_pure_skew_curve, 1e-9),
+         FamilyCurve(Family.GHZ_PURE, skew, ex2), thetas, ghz_pure_skew_curve, 1e-9),
         ("closed form: w-werner l1 = (1-p)(25+16*sqrt2)/3",
-         _curve(Family.W_WERNER, l1, ex1), ps, w_werner_l1_curve, 1e-9),
-        ("closed form: ghz-werner l1 = 20(1-p)", _curve(Family.GHZ_WERNER, l1, ex1), ps, ghz_werner_l1_curve, 1e-9),
+         FamilyCurve(Family.W_WERNER, l1, ex1), ps, w_werner_l1_curve, 1e-9),
+        ("closed form: ghz-werner l1 = 20(1-p)",
+         FamilyCurve(Family.GHZ_WERNER, l1, ex1), ps, ghz_werner_l1_curve, 1e-9),
         ("closed form: w-werner skew = 10(1 - 3p/4 - sqrt(8p-7p^2)/4), axis settings",
-         _curve(Family.W_WERNER, skew, ex1), ps, w_werner_skew_curve, 1e-9),
+         FamilyCurve(Family.W_WERNER, skew, ex1), ps, w_werner_skew_curve, 1e-9),
         ("closed form: ghz-werner skew = (10+2*sqrt3)(1 - 3p/4 - sqrt(8p-7p^2)/4), rotated settings",
-         _curve(Family.GHZ_WERNER, skew, ex2), ps, ghz_werner_skew_curve, 1e-9),
+         FamilyCurve(Family.GHZ_WERNER, skew, ex2), ps, ghz_werner_skew_curve, 1e-9),
         ("corrected identity: w-werner rel-ent = reported form - 2 * state entropy",
-         _curve(Family.W_WERNER, rel_ent, ex1), ps, w_werner_rel_ent_corrected, 1e-9),
+         FamilyCurve(Family.W_WERNER, rel_ent, ex1), ps, w_werner_rel_ent_corrected, 1e-9),
         ("corrected identity: ghz-werner rel-ent = reported form - 2 * state entropy",
-         _curve(Family.GHZ_WERNER, rel_ent, ex1), ps, ghz_werner_rel_ent_corrected, 1e-9),
+         FamilyCurve(Family.GHZ_WERNER, rel_ent, ex1), ps, ghz_werner_rel_ent_corrected, 1e-9),
     )
     for name, curve, points, reference, tol in grids:
         values = evaluate_family_grid(curve, points).tolist()
@@ -319,7 +318,7 @@ def checks(ensemble_states: int = 1000) -> list[CheckResult]:
             rows.append(CheckResult(name, dev <= tol, f"max |dev| {dev:.3e} over {len(points)} points (tol {tol:.1e})"))
     rows.append(_close(
         "spot value: ghz-werner rel-ent at p = 0.5",
-        evaluate_family(_curve(Family.GHZ_WERNER, rel_ent, ex1), 0.5), GHZ_WERNER_REL_ENT_AT_HALF, 1e-9,
+        evaluate_family(FamilyCurve(Family.GHZ_WERNER, rel_ent, ex1), 0.5), GHZ_WERNER_REL_ENT_AT_HALF, 1e-9,
     ))
 
     worst = _ensemble_margins(n_states=ensemble_states)
@@ -341,7 +340,7 @@ def adjudications() -> list[str]:
     skew_rot = bell_skew(rho_w, ex2)
     skew_axis = bell_skew(rho_w, ex1)
     reported_half = ghz_werner_rel_ent_reported(0.5)
-    direct_half = evaluate_family(_curve(Family.GHZ_WERNER, FunctionalKind.REL_ENT, ex1), 0.5)
+    direct_half = evaluate_family(FamilyCurve(Family.GHZ_WERNER, FunctionalKind.REL_ENT, ex1), 0.5)
     return [
         (
             "W-state skew: the headline value 10 holds for the axis-aligned settings "
@@ -375,10 +374,10 @@ def adjudications() -> list[str]:
     ]
 
 
-def run(stream=None, ensemble_states: int = 1000) -> int:
+def run(stream=None) -> int:
     """Print the check table and adjudications; 0 if every row passed."""
     out = stream if stream is not None else sys.stdout
-    rows = checks(ensemble_states=ensemble_states)
+    rows = checks()
     failed = [row for row in rows if not row.passed]
     for row in rows:
         mark = "PASS" if row.passed else "FAIL"

@@ -92,6 +92,22 @@ def test_out_of_range_state_param_exits_3(capsys):
     assert "outside" in err
 
 
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [
+        ("w-pure:0.1", 2, "w-pure parameters needs 2 comma-separated numbers, got 1"),
+        ("ghz-pure:0.1,0.2", 2, "ghz-pure parameter needs 1 comma-separated numbers, got 2"),
+        ("w-werner:0.1,0.2", 2, "w-werner parameter needs 1 comma-separated numbers, got 2"),
+        ("ghz-werner:x", 2, "ghz-werner parameter has a non-numeric entry: could not convert string to float: 'x'"),
+        ("w-pure:0.1,7", 3, "parameter 7.0 outside [0, 6.28319] for family w-pure"),
+        ("ghz-pure:4", 3, "parameter 4.0 outside [0, 3.14159] for family ghz-pure"),
+    ],
+)
+def test_family_spec_errors_keep_their_code_and_message(capsys, spec, code, message):
+    assert run_cli(capsys, "eval", "--state", spec, "--settings", "example1", "--kind", "l1") == (
+        code, "", f"error: {message}\n")
+
+
 def test_non_finite_inputs_exit_with_their_documented_codes(capsys):
     nan_angles = ",".join(["nan"] + ["0.5"] * 11)
     inf_angles = ",".join(["0.5"] * 11 + ["inf"])

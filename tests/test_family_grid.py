@@ -45,6 +45,29 @@ def test_stack_builder_matches_family_state_bytes(family):
         assert member.tobytes() == family_state(family, tuple(float(v) for v in point)).matrix.tobytes()
 
 
+@pytest.mark.parametrize("family", [Family.GHZ_PURE, Family.W_WERNER, Family.GHZ_WERNER])
+def test_stack_builder_takes_scalars_one_tuples_or_an_array(family):
+    points = _points(family, 40, seed=28)
+    stack = family_states(family, points).tobytes()
+    scalars = points[:, 0].tolist()
+    assert family_states(family, scalars).tobytes() == stack
+    assert family_states(family, points[:, 0]).tobytes() == stack
+    assert family_states(family, [(p,) for p in scalars]).tobytes() == stack
+
+
+def test_two_parameter_stack_builder_takes_tuples_or_an_array():
+    points = _points(Family.W_PURE, 40, seed=28)
+    tuples = [tuple(point) for point in points.tolist()]
+    assert family_states(Family.W_PURE, tuples).tobytes() == family_states(Family.W_PURE, points).tobytes()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_stack_builder_of_zero_points_is_empty(family):
+    for points in ([], np.empty((0, len(FAMILY_DOMAINS[family])))):
+        stack = family_states(family, points)
+        assert stack.shape == (0, 8, 8) and stack.dtype == complex
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_grid_equals_scalar_evaluation_across_chunks(family):
     """N = 1, GRID_CHUNK, GRID_CHUNK + 1 and 2500 (a partial last chunk), every kind, three settings."""
